@@ -1,39 +1,45 @@
 """Correlation-tensor representation of multipartite states.
 
-A state on parties with dimensions (n_1, ..., n_N) is equivalent to its
-per-party coherence vectors together with the covariance-style correlation
-tensors between parties:
+Every quantity here is a slice of one real tensor, the moment tensor
 
-    n_i      = <G_i>                                   (one party)
-    C_ij     = <G_i G_j>     - n_i n_j                 (pairs)
-    D_ijk    = <G_i G_j G_k> - n_i n_j n_k             (triples)
-    E_ijkl   = <GGGG>        - n n n n                 (four qubits)
+    T[m_1, ..., m_N] = Tr(rho A_{m_1} x ... x A_{m_N})
 
-with G the SU(n) generators of :mod:`mpcorr.su_basis`.  Pair tensors for
-three or more parties are taken on the two-party marginals, triple tensors on
-the three-party marginals.  :func:`reconstruct` inverts the map exactly; the
-prefactor for a correlation sector on parties S is prod_{I in S} (n_I / 2),
-which follows from Tr(G_i G_j) = 2 delta_ij and is exercised by the
-round-trip tests for every supported shape.
+of a state on parties with dimensions (n_1, ..., n_N), where A is the
+augmented basis {1, G_1, ..., G_{n^2-1}} of each party and G the SU(n)
+generators of :mod:`mpcorr.su_basis`.  With every index of a party subset S
+running over the generators (m >= 1) and the other indices at 0 (identity):
+
+    n_I      = T[.. i ..]                              (S = {I})
+    C_ij     = T[.. i .. j ..]       - n_i n_j         (pairs)
+    D_ijk    = T[.. i .. j .. k ..]  - n_i n_j n_k     (triples)
+    E_ijkl   = T[i j k l]            - n n n n         (four qubits)
+
+These are raw moments minus products of coherence vectors, not cumulants, so
+the slices are exact: a pair tensor of three or more parties equals the one
+taken on the two-party marginal.  T costs one mode product per party and no
+partial traces.
+
+:func:`reconstruct` inverts the map.  It refills T from the vectors and
+tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
+A_{m_1} x ... with weight 1 for the identity and n_I / 2 for a generator of
+party I, from Tr(1) = n and Tr(G_i G_j) = 2 delta_ij.  On a correlation
+sector S this is the prefactor prod_{I in S} (n_I / 2).  The round-trip tests
+exercise it on every supported shape.
 """
 
-import string
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
+from itertools import combinations
 from math import prod
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
-from .density import DensityMatrix, partial_trace
+from .density import DensityMatrix
 from .su_basis import GeneratorBasis, gell_mann_basis
 
 IMAG_TOL = 1e-12
-
-_ROW = string.ascii_lowercase[:8]
-_COL = string.ascii_lowercase[8:16]
-_COMP = string.ascii_uppercase[:8]
 
 
 def _real_within(arr: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarray:
@@ -80,37 +86,71 @@ class BlochDecomposition:
         return self.triple_correlations[tuple(sorted((i, j, k)))]
 
 
-def _stacks(dims: tuple[int, ...]) -> list[np.ndarray]:
-    return [gell_mann_basis(d).generators for d in dims]
+@lru_cache(maxsize=None)
+def _augmented(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mode-product matrices of one n-level party, both (n^2, n^2).  Forward
+    maps (row, col) of rho to m by A_m[col, row], so its products give
+    Tr(rho A_m); inverse maps m back to (row, col) by the dual basis
+    A_m / Tr(A_m^2), the weights 1/n for the identity and 1/2 for a generator."""
+    aug = np.concatenate([np.eye(n, dtype=complex)[None], gell_mann_basis(n).generators])
+    norms = np.array([n] + [2] * (n * n - 1), dtype=float)
+    forward = aug.transpose(2, 1, 0).reshape(n * n, n * n)
+    inverse = (aug / norms[:, None, None]).reshape(n * n, n * n)
+    for mat in (forward, inverse):
+        mat.setflags(write=False)
+    return forward, inverse
 
 
-def _raw_expectations(rho: DensityMatrix, stacks: list[np.ndarray]) -> np.ndarray:
-    """<G_{i,0} G_{j,1} ...> over *all* parties of rho, one einsum."""
-    n = len(stacks)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    terms = ",".join(f"{_COMP[p]}{_COL[p]}{_ROW[p]}" for p in range(n))
-    state = "".join(_ROW[:n]) + "".join(_COL[:n])
-    out = "".join(_COMP[:n])
-    return np.einsum(f"{terms},{state}->{out}", *stacks, t)
+def _interleave(n: int) -> tuple[int, ...]:
+    return tuple(a for p in range(n) for a in (p, p + n))
 
 
-def _embed_correlation(coefs: np.ndarray, slots: tuple[int, ...], dims: tuple[int, ...],
-                       stacks: list[np.ndarray]) -> np.ndarray:
-    """sum_K coefs[K] * (G_{K_1} at slot_1) x ... with identity elsewhere."""
+def _mode_products(t: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+    """Contract the leading axis of t with each matrix in turn; the new axis
+    goes last, so after one product per party the axes are back in order."""
+    for mat in mats:
+        t = t.reshape(mat.shape[0], -1).T @ mat
+    return t
+
+
+def _moments(rho: DensityMatrix) -> np.ndarray:
+    """The complex moment tensor T[m_1, ..., m_N] of rho."""
+    dims = rho.dims
     n = len(dims)
-    comp = "".join(_COMP[i] for i in range(len(slots)))
-    terms = [comp]
-    ops: list[np.ndarray] = [np.asarray(coefs)]
-    for pos, p in enumerate(slots):
-        terms.append(f"{_COMP[pos]}{_ROW[p]}{_COL[p]}")
-        ops.append(stacks[p])
-    for p in range(n):
-        if p not in slots:
-            terms.append(f"{_ROW[p]}{_COL[p]}")
-            ops.append(np.eye(dims[p], dtype=complex))
-    out = "".join(_ROW[:n]) + "".join(_COL[:n])
-    d = prod(dims)
-    return np.einsum(",".join(terms) + "->" + out, *ops).reshape(d, d)
+    t = rho.matrix.reshape(dims + dims).transpose(_interleave(n))
+    forward = [_augmented(d)[0] for d in dims]
+    return _mode_products(t, forward).reshape(tuple(d * d for d in dims))
+
+
+def _from_moments(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
+    """The prod(dims)-square matrix whose moment tensor is t."""
+    n = len(dims)
+    out = _mode_products(t, [_augmented(d)[1] for d in dims])
+    back = np.argsort(_interleave(n))
+    size = prod(dims)
+    return out.reshape(tuple(d for d in dims for _ in range(2))).transpose(back).reshape(size, size)
+
+
+@lru_cache(maxsize=None)
+def _sector(n: int, parties: tuple[int, ...]) -> tuple:
+    """Index of T selecting the generators of ``parties``, identity elsewhere."""
+    return tuple(slice(1, None) if p in parties else 0 for p in range(n))
+
+
+def _with_identity(vectors) -> list[np.ndarray]:
+    return [np.concatenate(([1.0], np.asarray(v, dtype=float))) for v in vectors]
+
+
+def _decompose(rho: DensityMatrix) -> BlochDecomposition:
+    n = rho.num_parties
+    t = _real_within(_moments(rho), "moment tensor")
+    vectors = tuple(t[_sector(n, (p,))] for p in range(n))
+    connected = t - reduce(np.multiply.outer, _with_identity(vectors))
+    connected.setflags(write=False)
+    sectors = {s: connected[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
+    pairs = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 2})
+    triples = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 3}) if n >= 3 else None
+    return BlochDecomposition(rho.dims, vectors, pairs, triples, sectors.get((0, 1, 2, 3)))
 
 
 def coherence_vector(rho: DensityMatrix, basis: GeneratorBasis | None = None) -> np.ndarray:
@@ -125,31 +165,16 @@ def coherence_vector(rho: DensityMatrix, basis: GeneratorBasis | None = None) ->
     return _real_within(vals, "coherence vector")
 
 
-def _marginal_vectors(rho: DensityMatrix) -> tuple[np.ndarray, ...]:
-    return tuple(coherence_vector(partial_trace(rho, [p])) for p in range(rho.num_parties))
-
-
-def _pair_matrix(rho: DensityMatrix, vectors: tuple[np.ndarray, ...], i: int, j: int,
-                 stacks: list[np.ndarray]) -> np.ndarray:
-    pair = partial_trace(rho, [i, j])
-    raw = _raw_expectations(pair, [stacks[i], stacks[j]])
-    return _real_within(raw - np.multiply.outer(vectors[i], vectors[j]), f"C[{i},{j}]")
-
-
 def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:
     """Coherence vectors and the C matrix of a two-party state (any n x m)."""
     if rho.num_parties != 2:
         raise ValueError(f"expected 2 parties, got dims {rho.dims}")
-    stacks = _stacks(rho.dims)
-    vectors = _marginal_vectors(rho)
-    raw = _raw_expectations(rho, stacks)
-    c = _real_within(raw - np.multiply.outer(vectors[0], vectors[1]), "C")
-    return BlochDecomposition(rho.dims, vectors, MappingProxyType({(0, 1): c}))
+    return _decompose(rho)
 
 
 def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherence vectors, the three pairwise C matrices (on two-party
-    marginals), and the D tensor of a three-party state.
+    """Coherence vectors, the three pairwise C matrices, and the D tensor of
+    a three-party state.
 
     Parties must have equal dimension; the triple tensor is not defined here
     for mixed-dimension systems.
@@ -158,63 +183,35 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
         raise ValueError(f"expected 3 parties, got dims {rho.dims}")
     if len(set(rho.dims)) != 1:
         raise ValueError(f"tripartite decomposition requires equal party dimensions, got {rho.dims}")
-    stacks = _stacks(rho.dims)
-    vectors = _marginal_vectors(rho)
-    pairs = {
-        (i, j): _pair_matrix(rho, vectors, i, j, stacks)
-        for i in range(3) for j in range(i + 1, 3)
-    }
-    raw3 = _raw_expectations(rho, stacks)
-    outer3 = reduce(np.multiply.outer, vectors)
-    d = _real_within(raw3 - outer3, "D")
-    return BlochDecomposition(rho.dims, vectors, MappingProxyType(pairs),
-                              MappingProxyType({(0, 1, 2): d}))
+    return _decompose(rho)
 
 
 def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
     """Full decomposition of a four-qubit state: coherence vectors, six pair
-    C matrices, four triple D tensors (on three-party marginals), and the
-    four-party E tensor."""
+    C matrices, four triple D tensors, and the four-party E tensor."""
     if rho.num_parties != 4:
         raise ValueError(f"expected 4 parties, got dims {rho.dims}")
     if rho.dims != (2, 2, 2, 2):
         raise ValueError(f"four-party decomposition supports qubits only, got dims {rho.dims}")
-    stacks = _stacks(rho.dims)
-    vectors = _marginal_vectors(rho)
-    pairs = {
-        (i, j): _pair_matrix(rho, vectors, i, j, stacks)
-        for i in range(4) for j in range(i + 1, 4)
-    }
-    triples = {}
-    for trip in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]:
-        marg = partial_trace(rho, list(trip))
-        raw = _raw_expectations(marg, [stacks[p] for p in trip])
-        outer3 = reduce(np.multiply.outer, [vectors[p] for p in trip])
-        triples[trip] = _real_within(raw - outer3, f"D{trip}")
-    raw4 = _raw_expectations(rho, stacks)
-    outer4 = reduce(np.multiply.outer, vectors)
-    e = _real_within(raw4 - outer4, "E")
-    return BlochDecomposition(rho.dims, vectors, MappingProxyType(pairs),
-                              MappingProxyType(triples), e)
+    return _decompose(rho)
 
 
 def decompose(rho: DensityMatrix) -> BlochDecomposition:
     """Dispatch to the 2-, 3-, or 4-party decomposition by party count."""
-    n = rho.num_parties
-    if n == 2:
-        return decompose_bipartite(rho)
-    if n == 3:
-        return decompose_tripartite(rho)
-    if n == 4:
-        return decompose_quadripartite(rho)
-    raise ValueError(f"decomposition supports 2 to 4 parties, got {n}")
+    by_arity = {2: decompose_bipartite, 3: decompose_tripartite, 4: decompose_quadripartite}
+    if rho.num_parties not in by_arity:
+        raise ValueError(f"decomposition supports 2 to 4 parties, got {rho.num_parties}")
+    return by_arity[rho.num_parties](rho)
 
 
-def _check_vector_shapes(decomp: BlochDecomposition) -> None:
-    for p, v in enumerate(decomp.coherence_vectors):
-        want = decomp.dims[p] ** 2 - 1
-        if np.shape(v) != (want,):
-            raise ValueError(f"coherence vector {p} has shape {np.shape(v)}, expected ({want},)")
+def _correlation_sectors(decomp: BlochDecomposition):
+    """(name, parties, tensor) for every correlation tensor present."""
+    for (i, j), c in decomp.pair_correlations.items():
+        yield f"C[{i},{j}]", (i, j), c
+    for trip, d in (decomp.triple_correlations or {}).items():
+        yield f"D{tuple(trip)}", tuple(trip), d
+    if decomp.quad_correlations is not None:
+        yield "E", (0, 1, 2, 3), decomp.quad_correlations
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
@@ -222,38 +219,23 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
 
     Exact (to roundoff) for decompositions produced by this module.  For
     hand-built tensors the result is Hermitian with unit trace but may fail
-    positivity; it is not re-validated here.
+    positivity; it is not re-validated here.  A missing correlation tensor
+    counts as zero.
     """
     dims = tuple(decomp.dims)
     n = len(dims)
     if n < 2 or n > 4:
         raise ValueError(f"reconstruction supports 2 to 4 parties, got {n}")
-    _check_vector_shapes(decomp)
-    stacks = _stacks(dims)
-    factors = []
-    for p in range(n):
-        vec = np.asarray(decomp.coherence_vectors[p], dtype=float)
-        factors.append(np.eye(dims[p], dtype=complex)
-                       + (dims[p] / 2.0) * np.einsum("i,iab->ab", vec, stacks[p]))
-    acc = reduce(np.kron, factors)
-    for (i, j), c in sorted(decomp.pair_correlations.items()):
-        c = np.asarray(c, dtype=float)
-        want = (dims[i] ** 2 - 1, dims[j] ** 2 - 1)
-        if c.shape != want:
-            raise ValueError(f"C[{i},{j}] has shape {c.shape}, expected {want}")
-        acc = acc + (dims[i] * dims[j] / 4.0) * _embed_correlation(c, (i, j), dims, stacks)
-    if decomp.triple_correlations is not None:
-        for trip, d in sorted(decomp.triple_correlations.items()):
-            d = np.asarray(d, dtype=float)
-            want = tuple(dims[p] ** 2 - 1 for p in trip)
-            if d.shape != want:
-                raise ValueError(f"D{trip} has shape {d.shape}, expected {want}")
-            scale = prod(dims[p] for p in trip) / 8.0
-            acc = acc + scale * _embed_correlation(d, tuple(trip), dims, stacks)
-    if decomp.quad_correlations is not None:
-        e = np.asarray(decomp.quad_correlations, dtype=float)
-        want = tuple(d * d - 1 for d in dims)
-        if n != 4 or e.shape != want:
-            raise ValueError(f"E has shape {e.shape}, expected {want} on 4 parties")
-        acc = acc + (prod(dims) / 16.0) * _embed_correlation(e, (0, 1, 2, 3), dims, stacks)
-    return DensityMatrix(dims, acc / prod(dims))
+    shapes = [np.shape(v) for v in decomp.coherence_vectors]
+    if shapes != [(d * d - 1,) for d in dims]:
+        raise ValueError(f"coherence vectors have shapes {shapes}, expected lengths n^2 - 1 for dims {dims}")
+    t = reduce(np.multiply.outer, _with_identity(decomp.coherence_vectors))
+    for name, parties, corr in _correlation_sectors(decomp):
+        if list(parties) != sorted(set(parties)) or parties[0] < 0 or parties[-1] >= n:
+            raise ValueError(f"{name} must name distinct parties of the {n} in increasing order")
+        corr = np.asarray(corr, dtype=float)
+        want = tuple(dims[p] ** 2 - 1 for p in parties)
+        if corr.shape != want:
+            raise ValueError(f"{name} has shape {corr.shape}, expected {want}")
+        t[_sector(n, parties)] += corr
+    return DensityMatrix(dims, _from_moments(dims, t))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, decompose_bipartite, reconstruct
+from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite
 from .density import DensityMatrix, partial_transpose, purity
 
 NSV_ABS_FLOOR = 1e-12
@@ -21,6 +21,10 @@ NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 PURE_PURITY_CUTOFF = 1.0 - 1e-8
 BLOCH_DEGENERACY_TOL = 1e-12
+
+# Multiplies party B's axis (identity, sigma_x, sigma_y, sigma_z) of a
+# two-qubit moment tensor.
+_SIGMA_Y_FLIP = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 class DegenerateBlochVectorsError(ValueError):
@@ -127,21 +131,16 @@ def ph_test(rho: DensityMatrix) -> PHVerdict:
 def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
     """Decomposition-level PH test for two qubits.
 
-    Transposing party B is the same as flipping the sign of n_{y,B} and of
-    the C column that multiplies sigma_{y,B}; the flipped decomposition is
-    reconstructed and checked for positivity.  Agrees with :func:`ph_test`.
+    Transposing party B is the same as flipping the sign of its sigma_y axis
+    of the moment tensor (sigma_x, sigma_z and the identity are symmetric,
+    sigma_y antisymmetric), which flips n_{y,B} and the C column that
+    multiplies sigma_{y,B}; the flipped tensor is mapped back to a matrix and
+    checked for positivity.  Agrees with :func:`ph_test`.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"sign-flip PH test supports two qubits only, got dims {rho.dims}")
-    dec = decompose_bipartite(rho)
-    nb = dec.coherence_vectors[1].copy()
-    nb[1] = -nb[1]
-    c = dec.pair(0, 1).copy()
-    c[:, 1] = -c[:, 1]
-    flipped = BlochDecomposition(dec.dims, (dec.coherence_vectors[0], nb),
-                                 {(0, 1): c})
-    pt = reconstruct(flipped)
-    min_eig = float(np.linalg.eigvalsh(pt.matrix).min())
+    pt = _from_moments(rho.dims, _moments(rho) * _SIGMA_Y_FLIP)
+    min_eig = float(np.linalg.eigvalsh(pt).min())
     return PHVerdict(min_eigenvalue=min_eig, entangled=min_eig < -PT_NEGATIVITY_TOL,
                      conclusive=True)
 

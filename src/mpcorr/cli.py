@@ -59,7 +59,10 @@ def build_family(name: str, params: dict) -> DensityMatrix:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(allowed)}")
-    return builder(**params)
+    try:
+        return builder(**params)
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -67,7 +70,10 @@ def load_state(path: str) -> DensityMatrix:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "family" in obj:
-        return build_family(obj["family"], dict(obj.get("params", {})))
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
+        return build_family(obj["family"], params)
     return state_from_json_dict(obj)
 
 
@@ -152,15 +158,22 @@ def decomposition_report(rho: DensityMatrix) -> dict:
     return report
 
 
-def cmd_decompose(args) -> int:
+def _load(path: str) -> tuple[DensityMatrix | None, int]:
+    """The state in a file, or None and the exit code after reporting why."""
     try:
-        rho = load_state(args.input)
+        return load_state(path), EXIT_OK
     except StateValidationError as exc:
         sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return None, EXIT_PARSE
+
+
+def cmd_decompose(args) -> int:
+    rho, code = _load(args.input)
+    if rho is None:
+        return code
     if not 2 <= rho.num_parties <= 4:
         sys.stderr.write(f"error: decomposition supports 2 to 4 parties, got dims {rho.dims}\n")
         return EXIT_UNSUPPORTED_SHAPE
@@ -174,14 +187,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    try:
-        rho = load_state(args.input)
-    except StateValidationError as exc:
-        sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    rho, code = _load(args.input)
+    if rho is None:
+        return code
     try:
         ms = measure_set(rho)
     except (ValueError, MixedStateError) as exc:
@@ -200,14 +208,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    try:
-        rho = load_state(args.input)
-    except StateValidationError as exc:
-        sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
-        return EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+    rho, code = _load(args.input)
+    if rho is None:
+        return code
     if rho.dims != (2, 2):
         sys.stderr.write(f"error: classification supports two-qubit states (dims [2, 2]), got dims {list(rho.dims)}\n")
         return EXIT_UNSUPPORTED_SHAPE
@@ -263,6 +266,8 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     if len(parts) != 3:
         raise ValueError(f"--param expects name=start:stop:count, got {spec!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not (np.isfinite(start) and np.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     count = int(parts[2])
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")

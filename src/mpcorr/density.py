@@ -101,6 +101,11 @@ class HermitianOperator:
             raise NotHermitianError(f"operator is not Hermitian (residual {herm:.3e})", herm)
 
 
+def _require_finite(arr: np.ndarray, what: str) -> None:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} has a non-finite (NaN or infinite) entry")
+
+
 def from_pure(amplitudes, dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (not necessarily normalized) state
     vector with the given subsystem dimensions."""
@@ -108,6 +113,7 @@ def from_pure(amplitudes, dims) -> DensityMatrix:
     vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
     if vec.size != prod(dims):
         raise ValueError(f"amplitude vector length {vec.size} does not match dims {dims}")
+    _require_finite(vec, "amplitude vector")
     norm = np.linalg.norm(vec)
     if norm < 1e-300:
         raise ValueError("amplitude vector is zero")
@@ -119,11 +125,13 @@ def validate(matrix, dims) -> DensityMatrix:
     """Check the three density-matrix invariants and return a DensityMatrix.
 
     Raises NotHermitianError, TraceNotOneError, or NotPSDError, each carrying
-    the offending residual magnitude.
+    the offending residual magnitude, and a plain ValueError for a NaN or
+    infinite entry, which every comparison with a tolerance would let pass.
     """
     dims = tuple(int(d) for d in dims)
     mat = np.asarray(matrix, dtype=complex)
     _check_shape(dims, mat)
+    _require_finite(mat, "matrix")
     herm = float(np.abs(mat - mat.conj().T).max())
     if herm > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian (max |rho - rho^dag| = {herm:.3e})", herm)

@@ -24,6 +24,8 @@ BELL_VECTORS = {
 def bell(which: str) -> DensityMatrix:
     """One of the four maximally entangled two-qubit states
     ('phi+', 'phi-', 'psi+', 'psi-')."""
+    if not isinstance(which, str):
+        raise ValueError(f"Bell state name must be a string, got {which!r}")
     key = which.lower().replace("_", "").replace(" ", "")
     if key not in BELL_VECTORS:
         raise ValueError(f"unknown Bell state {which!r}; choose from {sorted(BELL_VECTORS)}")

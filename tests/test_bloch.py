@@ -1,11 +1,12 @@
 import math
-from itertools import product
+from functools import reduce
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from helpers import (GELL_MANN, PAULI, dm_of, kron_all, oracle_basis,
-                     oracle_cumulant, oracle_pair_c, oracle_vectors,
+                     oracle_cumulant, oracle_pair_c, oracle_ptrace, oracle_vectors,
                      random_density_mat, random_pure_vec, random_unitary)
 
 from mpcorr.bloch import (BlochDecomposition, _real_within, coherence_vector,
@@ -191,6 +192,84 @@ class TestReconstruct:
         with pytest.raises(ValueError, match="shape"):
             reconstruct(dec)
 
+    @pytest.mark.parametrize("key", [(1, 0), (0, 0), (0, 2)])
+    def test_bad_pair_key_rejected(self, key):
+        dec = BlochDecomposition((2, 2), (np.zeros(3), np.zeros(3)),
+                                 {key: np.zeros((3, 3))})
+        with pytest.raises(ValueError, match="increasing order"):
+            reconstruct(dec)
+
+    def test_quad_tensor_needs_four_parties(self):
+        dec = BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, {},
+                                 quad_correlations=np.zeros((3, 3, 3, 3)))
+        with pytest.raises(ValueError, match="E "):
+            reconstruct(dec)
+
+
+def _correlation_of(dec, parties):
+    if len(parties) == 2:
+        return dec.pair_correlations.get(parties)
+    if len(parties) == 3:
+        return (dec.triple_correlations or {}).get(parties)
+    return dec.quad_correlations if len(parties) == 4 else None
+
+
+def oracle_reconstruct(dec):
+    """sum over party subsets S of prod_{p in S}(n_p/2) (corr_S + x_p n_p)
+    G_S x 1, divided by prod n_p, by explicit kron products."""
+    dims = dec.dims
+    bases = [oracle_basis(d) for d in dims]
+    total = np.zeros((math.prod(dims),) * 2, dtype=complex)
+    for size in range(len(dims) + 1):
+        for parties in combinations(range(len(dims)), size):
+            coef = reduce(np.multiply.outer, [dec.coherence_vectors[p] for p in parties], np.array(1.0))
+            corr = _correlation_of(dec, parties)
+            if corr is not None:
+                coef = coef + corr
+            scale = math.prod(dims[p] / 2 for p in parties)
+            for idx in product(*(range(len(bases[p])) for p in parties)):
+                ops = [np.eye(d) for d in dims]
+                for p, i in zip(parties, idx):
+                    ops[p] = bases[p][i]
+                total += scale * coef[idx] * kron_all(ops)
+    return total / math.prod(dims)
+
+
+def _hand_built(dims, rng, with_triples=True, with_quad=True):
+    def rand(*parties):
+        return rng.normal(size=tuple(dims[p] ** 2 - 1 for p in parties))
+
+    n = len(dims)
+    return BlochDecomposition(
+        dims, tuple(rand(p) for p in range(n)),
+        {s: rand(*s) for s in combinations(range(n), 2)},
+        {s: rand(*s) for s in combinations(range(n), 3)} if n >= 3 and with_triples else None,
+        rand(0, 1, 2, 3) if n == 4 and with_quad else None)
+
+
+@pytest.mark.parametrize("dims, with_triples, with_quad", [
+    ((2, 3), False, False),
+    ((2, 2, 2), False, False),
+    ((3, 3, 3), False, False),
+    ((3, 3, 3), True, False),
+    ((2, 2, 2, 2), True, True),
+    ((2, 2, 2, 2), False, True),
+])
+def test_reconstruct_hand_built_matches_oracle(dims, with_triples, with_quad, rng):
+    # random tensors of unit scale: not states, so only the linear map is tested
+    dec = _hand_built(dims, rng, with_triples, with_quad)
+    got = reconstruct(dec).matrix
+    assert np.abs(got - oracle_reconstruct(dec)).max() < 1e-12
+    assert np.trace(got) == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(got - got.conj().T).max() < 1e-12
+
+
+def test_non_hermitian_input_reports_imaginary_residue():
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 1] = 1e-6
+    with pytest.raises(ValueError, match="imaginary residue"):
+        decompose(DensityMatrix((2, 2), mat))
+
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
 
@@ -201,6 +280,36 @@ def test_roundtrip_random_states(dims, rng):
         rho = rand_state(dims, rng)
         again = reconstruct(decompose(rho))
         assert np.abs(again.matrix - rho.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2)])
+def test_sub_tensors_match_marginal_oracle(dims, rng):
+    # the engine slices one moment tensor; the oracle decomposes marginals
+    rho = rand_state(dims, rng)
+    dec = decompose(rho)
+    bases = [oracle_basis(d) for d in dims]
+    for p, vec in enumerate(oracle_vectors(rho.matrix, dims, bases)):
+        assert np.abs(dec.coherence_vectors[p] - vec).max() < 1e-12
+    for size in range(2, len(dims) + 1):
+        for parties in combinations(range(len(dims)), size):
+            marginal = oracle_ptrace(rho.matrix, dims, parties)
+            sub = tuple(dims[p] for p in parties)
+            want = oracle_cumulant(marginal, sub, [bases[p] for p in parties])
+            assert np.abs(_correlation_of(dec, parties) - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", SHAPES)
+def test_decomposition_arrays_read_only(dims, rng):
+    dec = decompose(rand_state(dims, rng))
+    arrays = list(dec.coherence_vectors) + list(dec.pair_correlations.values())
+    arrays += list((dec.triple_correlations or {}).values())
+    if dec.quad_correlations is not None:
+        arrays.append(dec.quad_correlations)
+    assert len(arrays) == 2 ** len(dims) - 1
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 1.0
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

@@ -21,6 +21,12 @@ def write_json(path, obj):
     return str(path)
 
 
+def nan_matrix_file(tmp_path):
+    mat = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    mat[0][0][0] = float("nan")
+    return write_json(tmp_path / "nan.json", {"dims": [2, 2], "matrix": mat})
+
+
 def singlet_file(tmp_path):
     return write_json(tmp_path / "psi-.json", {
         "dims": [2, 2],
@@ -107,6 +113,12 @@ class TestMeasure:
         assert code == 0
         assert json.loads(out)["e_d"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_nan_matrix_exit_1(self, tmp_path, capsys):
+        code, out, err = run_cli(["measure", "--input", nan_matrix_file(tmp_path)], capsys)
+        assert code == 1
+        assert "NaN" not in out and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unsupported_structure_exit_3(self, tmp_path, capsys):
         mat = np.eye(12) / 12
         path = write_json(tmp_path / "odd.json", {
@@ -134,6 +146,13 @@ class TestClassify:
         code, out, _ = run_cli(["classify", "--input", path], capsys)
         assert code == 0
         assert json.loads(out)["category"] == "PureProduct"
+
+    def test_nan_matrix_exit_1(self, tmp_path, capsys):
+        # used to die in the SVD with LinAlgError
+        code, out, err = run_cli(["classify", "--input", nan_matrix_file(tmp_path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_qutrit_pair_exit_3(self, tmp_path, capsys):
         mat = np.eye(9) / 9
@@ -271,6 +290,14 @@ class TestSweep:
                               "--outputs", "ec"], capsys)
         assert code == 4
 
+    @pytest.mark.parametrize("grid", ["theta=nan:1:3", "theta=0:inf:3", "theta=-inf:0:1"])
+    def test_non_finite_grid_exit_4(self, grid, capsys):
+        code, out, err = run_cli(["sweep", "--family", "rashid", "--param", grid,
+                                  "--outputs", "ec"], capsys)
+        assert code == 4
+        assert out == ""
+        assert "finite" in err
+
     def test_unknown_output_exit_4(self, capsys):
         code, _, _ = run_cli(["sweep", "--family", "rashid", "--param", "theta=0:1:2",
                               "--outputs", "negativity"], capsys)
@@ -294,6 +321,22 @@ class TestSweep:
             p, theta, xi, nanb = (float(x) for x in line.split(","))
             assert xi == pytest.approx(-2 * 0.5 / math.cosh(2 * theta), abs=1e-12)
             assert nanb == pytest.approx(-(0.5 * math.tanh(2 * theta)) ** 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("command", ["decompose", "measure", "classify"])
+@pytest.mark.parametrize("spec", [
+    {"family": "bell", "params": {"which": 3}},
+    {"family": "bell"},
+    {"family": "bell", "params": [1]},
+    {"family": "rashid", "params": {"theta": 1000}},
+], ids=["non-string-which", "missing-params", "list-params", "overflowing-theta"])
+def test_bad_family_spec_exit_1(spec, command, tmp_path, capsys):
+    path = write_json(tmp_path / "spec.json", spec)
+    code, out, err = run_cli([command, "--input", path], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_console_script_entry_point(tmp_path):

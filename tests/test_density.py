@@ -9,7 +9,7 @@ from helpers import (SX, dm_of, kron_all, oracle_ptrace,
                      random_density_mat, random_pure_vec)
 
 from mpcorr.density import (DensityMatrix, NotHermitianError, NotPSDError,
-                            TraceNotOneError, from_pure, mix, partial_trace,
+                            StateValidationError, TraceNotOneError, from_pure, mix, partial_trace,
                             partial_transpose, purity, state_from_json_dict,
                             state_to_json_dict, tensor, validate)
 
@@ -42,6 +42,11 @@ class TestFromPure:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length"):
             from_pure([1, 0, 0], (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            from_pure([bad, 0, 0, 1], (2, 2))
 
 
 class TestValidate:
@@ -77,6 +82,16 @@ class TestValidate:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             validate(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.25, np.nan)])
+    def test_non_finite_rejected(self, bad):
+        # every tolerance comparison with NaN is False, so without this check
+        # a NaN matrix would pass all three invariants
+        mat = (np.eye(4) / 4).astype(complex)
+        mat[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite") as err:
+            validate(mat, (2, 2))
+        assert not isinstance(err.value, StateValidationError)
 
 
 class TestTensor:

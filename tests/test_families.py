@@ -36,6 +36,11 @@ class TestBell:
         with pytest.raises(ValueError, match="Bell"):
             bell("omega+")
 
+    @pytest.mark.parametrize("which", [3, None, ["phi+"]])
+    def test_non_string_name_rejected(self, which):
+        with pytest.raises(ValueError, match="string"):
+            bell(which)
+
 
 class TestRashid:
     def test_theta_zero_is_phi_plus(self):
