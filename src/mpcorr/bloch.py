@@ -145,9 +145,9 @@ def _decompose(rho: DensityMatrix) -> BlochDecomposition:
     n = rho.num_parties
     t = _real_within(_moments(rho), "moment tensor")
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
-    connected = t - reduce(np.multiply.outer, _with_identity(vectors))
-    connected.setflags(write=False)
-    sectors = {s: connected[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
+    corr = t - reduce(np.multiply.outer, _with_identity(vectors))  # raw moments minus products
+    corr.setflags(write=False)
+    sectors = {s: corr[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
     pairs = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 2})
     triples = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 3}) if n >= 3 else None
     return BlochDecomposition(rho.dims, vectors, pairs, triples, sectors.get((0, 1, 2, 3)))
