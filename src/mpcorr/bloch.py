@@ -107,50 +107,69 @@ def _interleave(n: int) -> tuple[int, ...]:
 
 def _mode_products(t: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     """Contract the leading axis of t with each matrix in turn; the new axis
-    goes last, so after one product per party the axes are back in order."""
+    goes last, so after one product per party the axes are back in order and
+    a batch axis that came last comes first."""
     for mat in mats:
         t = t.reshape(mat.shape[0], -1).T @ mat
     return t
 
 
-def _moments(rho: DensityMatrix) -> np.ndarray:
-    """The complex moment tensor T[m_1, ..., m_N] of rho."""
-    dims = rho.dims
+def _moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
+    """The complex moment tensors T[b, m_1, ..., m_N] of a (B, d, d) stack."""
     n = len(dims)
-    t = rho.matrix.reshape(dims + dims).transpose(_interleave(n))
+    t = mats.reshape((len(mats),) + dims + dims).transpose(tuple(1 + a for a in _interleave(n)) + (0,))
     forward = [_augmented(d)[0] for d in dims]
-    return _mode_products(t, forward).reshape(tuple(d * d for d in dims))
+    return _mode_products(t, forward).reshape((len(mats),) + tuple(d * d for d in dims))
 
 
 def _from_moments(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """The prod(dims)-square matrix whose moment tensor is t."""
+    """The (B, d, d) stack of matrices whose moment tensors are t[b]."""
     n = len(dims)
-    out = _mode_products(t, [_augmented(d)[1] for d in dims])
-    back = np.argsort(_interleave(n))
+    out = _mode_products(np.moveaxis(t, 0, -1), [_augmented(d)[1] for d in dims])
+    back = (0,) + tuple(1 + a for a in np.argsort(_interleave(n)))
     size = prod(dims)
-    return out.reshape(tuple(d for d in dims for _ in range(2))).transpose(back).reshape(size, size)
+    return out.reshape((len(t),) + tuple(d for d in dims for _ in range(2))).transpose(back).reshape(-1, size, size)
 
 
 @lru_cache(maxsize=None)
 def _sector(n: int, parties: tuple[int, ...]) -> tuple:
-    """Index of T selecting the generators of ``parties``, identity elsewhere."""
-    return tuple(slice(1, None) if p in parties else 0 for p in range(n))
+    """Index of T, with or without a batch axis, selecting the generators of
+    ``parties``, identity elsewhere."""
+    return (Ellipsis,) + tuple(slice(1, None) if p in parties else 0 for p in range(n))
 
 
 def _with_identity(vectors) -> list[np.ndarray]:
     return [np.concatenate(([1.0], np.asarray(v, dtype=float))) for v in vectors]
 
 
-def _decompose(rho: DensityMatrix) -> BlochDecomposition:
-    n = rho.num_parties
-    t = _real_within(_moments(rho), "moment tensor")
+def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
+    """Coherence vectors (a tuple of (B, n_I^2 - 1) arrays) and correlation
+    tensors (a dict from each party subset of two or more to a (B, ...) array)
+    of a (B, d, d) stack of states; :func:`decompose` is the one-state case.
+    Supports 2 to 4 parties, of equal dimension for three, qubits for four."""
+    n = len(dims)
+    if not 2 <= n <= 4:
+        raise ValueError(f"decomposition supports 2 to 4 parties, got {n}")
+    if n == 3 and len(set(dims)) != 1:
+        raise ValueError(f"tripartite decomposition requires equal party dimensions, got {dims}")
+    if n == 4 and dims != (2, 2, 2, 2):
+        raise ValueError(f"four-party decomposition supports qubits only, got dims {dims}")
+    t = _real_within(_moments(dims, mats), "moment tensor")
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
-    corr = t - reduce(np.multiply.outer, _with_identity(vectors))  # raw moments minus products
+    ones = np.ones((len(t), 1))
+    outer = [np.concatenate((ones, v), axis=1).reshape((-1,) + (1,) * p + (v.shape[1] + 1,) + (1,) * (n - 1 - p))
+             for p, v in enumerate(vectors)]
+    corr = t - reduce(np.multiply, outer)  # raw moments minus products
     corr.setflags(write=False)
-    sectors = {s: corr[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
+    return vectors, {s: corr[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
+
+
+def _decompose(rho: DensityMatrix) -> BlochDecomposition:
+    vectors, sectors = decompose_stack(rho.dims, rho.matrix[None])
+    sectors = {s: c[0] for s, c in sectors.items()}
     pairs = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 2})
-    triples = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 3}) if n >= 3 else None
-    return BlochDecomposition(rho.dims, vectors, pairs, triples, sectors.get((0, 1, 2, 3)))
+    triples = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 3}) if len(rho.dims) >= 3 else None
+    return BlochDecomposition(rho.dims, tuple(v[0] for v in vectors), pairs, triples, sectors.get((0, 1, 2, 3)))
 
 
 def coherence_vector(rho: DensityMatrix, basis: GeneratorBasis | None = None) -> np.ndarray:
@@ -181,8 +200,6 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
     """
     if rho.num_parties != 3:
         raise ValueError(f"expected 3 parties, got dims {rho.dims}")
-    if len(set(rho.dims)) != 1:
-        raise ValueError(f"tripartite decomposition requires equal party dimensions, got {rho.dims}")
     return _decompose(rho)
 
 
@@ -191,8 +208,6 @@ def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
     C matrices, four triple D tensors, and the four-party E tensor."""
     if rho.num_parties != 4:
         raise ValueError(f"expected 4 parties, got dims {rho.dims}")
-    if rho.dims != (2, 2, 2, 2):
-        raise ValueError(f"four-party decomposition supports qubits only, got dims {rho.dims}")
     return _decompose(rho)
 
 
@@ -238,4 +253,4 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
         if corr.shape != want:
             raise ValueError(f"{name} has shape {corr.shape}, expected {want}")
         t[_sector(n, parties)] += corr
-    return DensityMatrix(dims, _from_moments(dims, t))
+    return DensityMatrix(dims, _from_moments(dims, t[None])[0])

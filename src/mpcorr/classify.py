@@ -139,8 +139,8 @@ def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"sign-flip PH test supports two qubits only, got dims {rho.dims}")
-    pt = _from_moments(rho.dims, _moments(rho) * _SIGMA_Y_FLIP)
-    min_eig = float(np.linalg.eigvalsh(pt).min())
+    pt = _from_moments(rho.dims, _moments(rho.dims, rho.matrix[None]) * _SIGMA_Y_FLIP)
+    min_eig = float(np.linalg.eigvalsh(pt[0]).min())
     return PHVerdict(min_eigenvalue=min_eig, entangled=min_eig < -PT_NEGATIVITY_TOL,
                      conclusive=True)
 

@@ -13,26 +13,28 @@ as JSON on stderr), 3 unsupported party structure, 4 bad family/sweep spec.
 
 Output is deterministic: floats are serialized as Python's shortest
 round-trip decimals, CSV uses comma separators and LF line endings, and sweep
-rows follow the declared parameter-grid order regardless of how many worker
-threads evaluate them (capped by the MPCORR_THREADS environment variable).
+rows follow the declared parameter-grid order.  A sweep evaluates its grid in
+one thread, as stacks of at most SWEEP_CHUNK states; each cell depends on its
+own point only, so the bytes do not depend on how the grid is split into
+chunks or into commands.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from itertools import product
+from functools import cache
+from itertools import islice, product
+from math import prod
 
 import numpy as np
 
 from . import families
-from .bloch import decompose
-from .classify import (DegenerateBlochVectorsError, classify_two_qubit,
-                       correlation_spectrum, ph_invariants, ph_test)
+from .bloch import decompose, decompose_stack
+from .classify import (BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL,
+                       classify_two_qubit)
 from .density import DensityMatrix, StateValidationError, purity, state_from_json_dict, state_to_json_dict
-from .measures import (MixedStateError, concurrence_pure, e_c_bipartite,
-                       e_c_multipartite, e_d, e_e, entanglement_entropy, measure_set)
+from .measures import (QUAD_WEIGHT, TRIPLE_WEIGHTS, MixedStateError, _pair_weight, concurrence_pure,
+                       entanglement_entropy, measure_set)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -40,29 +42,37 @@ EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED_SHAPE = 3
 EXIT_BAD_SPEC = 4
 
+# name -> (scalar builder, parameter names, array form): None, or a function
+# from one array per parameter to a (B, d, d) stack and the family's dims.
 FAMILY_BUILDERS = {
-    "bell": (families.bell, {"which"}),
-    "rashid": (families.rashid, {"theta"}),
-    "cc-mixture": (families.cc_mixture, {"terms"}),
-    "generalized-werner": (families.generalized_werner, {"p", "theta"}),
-    "ghz": (families.ghz, {"parties", "level"}),
-    "tripartite-qutrit-e3": (families.tripartite_qutrit_e3, {"theta1", "theta2"}),
+    "bell": (families.bell, {"which"}, None),
+    "rashid": (families.rashid, {"theta"}, (families.rashid_states, (2, 2))),
+    "cc-mixture": (families.cc_mixture, {"terms"}, None),
+    "generalized-werner": (families.generalized_werner, {"p", "theta"},
+                           (families.generalized_werner_states, (2, 2))),
+    "ghz": (families.ghz, {"parties", "level"}, None),
+    "tripartite-qutrit-e3": (families.tripartite_qutrit_e3, {"theta1", "theta2"},
+                             (families.tripartite_qutrit_e3_states, (3, 3, 3))),
 }
 
-OUTPUT_NAMES = ("ec", "ed", "ee", "concurrence", "entropy", "nsv", "ph", "xi", "nanb")
+SWEEP_CHUNK = 1024                      # grid points per stack of states
+
+
+def _call_builder(name: str, builder, params: dict):
+    try:
+        return builder(**params)
+    except (TypeError, ArithmeticError) as exc:
+        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
 def build_family(name: str, params: dict) -> DensityMatrix:
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
-    builder, allowed = FAMILY_BUILDERS[name]
+    builder, allowed, _ = FAMILY_BUILDERS[name]
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(allowed)}")
-    try:
-        return builder(**params)
-    except (TypeError, OverflowError) as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
+    return _call_builder(name, builder, params)
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -77,46 +87,61 @@ def load_state(path: str) -> DensityMatrix:
     return state_from_json_dict(obj)
 
 
-def evaluate_outputs(rho: DensityMatrix, outputs) -> dict:
-    """Requested scalar outputs of one state; a single decomposition is
-    shared across them.  xi is NaN where it is undefined (n_A . n_B = 0)."""
-    dec = decompose(rho)
-    n = rho.num_parties
-    vals: dict[str, float | int] = {}
-    for name in outputs:
-        if name == "ec":
-            if n == 2:
-                vals[name] = e_c_bipartite(dec.pair(0, 1), rho.dims)
-            else:
-                vals[name] = e_c_multipartite(dec)
-        elif name == "ed":
-            vals[name] = e_d(dec)
-        elif name == "ee":
-            vals[name] = e_e(dec)
-        elif name == "concurrence":
-            vals[name] = concurrence_pure(rho)
-        elif name == "entropy":
-            vals[name] = entanglement_entropy(rho)
-        elif name == "nsv":
-            if n != 2:
-                raise ValueError("nsv output needs a bipartite state")
-            vals[name] = correlation_spectrum(dec.pair(0, 1)).nsv_count
-        elif name == "ph":
-            if n != 2:
-                raise ValueError("ph output needs a bipartite state")
-            vals[name] = int(ph_test(rho).entangled)
-        elif name == "xi":
-            try:
-                vals[name] = ph_invariants(dec).xi
-            except DegenerateBlochVectorsError:
-                vals[name] = float("nan")
-        elif name == "nanb":
-            if rho.dims != (2, 2):
-                raise ValueError("nanb output needs a two-qubit state")
-            vals[name] = float(np.dot(dec.coherence_vectors[0], dec.coherence_vectors[1]))
-        else:
-            raise ValueError(f"unknown output {name!r}; known: {OUTPUT_NAMES}")
-    return vals
+def _sum_squares(c: np.ndarray) -> np.ndarray:
+    return (c * c).sum(axis=tuple(range(1, c.ndim)))
+
+
+def _sector_norm(parties: int, weight):
+    """weight(dims) times the summed squares of the correlation tensors on
+    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee."""
+    return lambda dims, mats, vectors, sectors: weight(dims) * sum(
+        _sum_squares(c) for s, c in sectors.items() if len(s) == parties)
+
+
+def _ph(dims, mats, vectors, sectors):
+    # 1 where the partial transpose on the second party has a negative eigenvalue
+    pt = mats.reshape((len(mats),) + dims + dims).swapaxes(2, 4).reshape(mats.shape)
+    return (np.linalg.eigvalsh(pt).min(axis=1) < -PT_NEGATIVITY_TOL).astype(int)
+
+
+def _nsv(dims, mats, vectors, sectors):
+    sv = np.linalg.svd(sectors[(0, 1)], compute_uv=False)
+    return (sv > np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv[:, :1])).sum(axis=1)
+
+
+def _nanb(dims, mats, vectors, sectors):
+    return (vectors[0] * vectors[1]).sum(axis=1)
+
+
+def _xi(dims, mats, vectors, sectors):
+    (na, nb), c = vectors, sectors[(0, 1)]
+    na_nb = _nanb(dims, mats, vectors, sectors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.trace(c, axis1=1, axis2=2) - np.einsum("bi,bij,bj->b", na, c, nb) / na_nb
+    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi)
+
+
+def _per_state(measure):
+    return lambda dims, mats, vectors, sectors: [measure(DensityMatrix(dims, m)) for m in mats]
+
+
+# Sweep outputs: name -> (what it needs, test on dims, column function).  A
+# column function maps a (B, d, d) stack, its coherence vectors and its
+# correlation tensors (see bloch.decompose_stack) to B values.  Concurrence
+# and entropy go state by state, keeping their purity check; xi is NaN where
+# n_A . n_B degenerates.
+OUTPUTS = {
+    "ec": ("a decomposable state", lambda dims: True, _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
+    "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
+           _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
+    "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
+    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(concurrence_pure)),
+    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(entanglement_entropy)),
+    "nsv": ("a bipartite state", lambda dims: len(dims) == 2, _nsv),
+    "ph": ("a bipartite state", lambda dims: len(dims) == 2, _ph),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), _xi),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), _nanb),
+}
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -129,12 +154,6 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _dump_json(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
-
-
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return str(int(value))
-    return repr(float(value))
 
 
 def decomposition_report(rho: DensityMatrix) -> dict:
@@ -274,15 +293,37 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("MPCORR_THREADS")
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"MPCORR_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, workers)
+def _state_stacks(family: str, params: dict[str, np.ndarray]):
+    """(indices, dims, (B, d, d) stack) per party structure of the states at
+    the points ``params``; a family without an array form goes point by point."""
+    builder, _, stacked = FAMILY_BUILDERS[family]
+    if stacked is not None:
+        states, dims = stacked
+        return [(slice(None), dims, _call_builder(family, states, params))]
+    groups: dict[tuple[int, ...], list] = {}
+    for i, values in enumerate(zip(*params.values())):
+        rho = _call_builder(family, builder, dict(zip(params, values)))
+        groups.setdefault(rho.dims, []).append((i, rho.matrix))
+    return [([i for i, _ in group], dims, np.stack([m for _, m in group])) for dims, group in groups.items()]
+
+
+def _sweep_rows(family: str, grids, outputs) -> list[str]:
+    """CSV rows of the grid in row-major order, SWEEP_CHUNK points at a time."""
+    points = product(*[vals for _, vals in grids])
+    rows = []
+    for _ in range(0, prod(len(vals) for _, vals in grids), SWEEP_CHUNK):
+        chunk = np.array(list(islice(points, SWEEP_CHUNK)))
+        cells = np.empty((len(chunk), len(outputs)), dtype=object)
+        for idx, dims, mats in _state_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
+            vectors, sectors = decompose_stack(dims, mats)
+            for j, name in enumerate(outputs):
+                needs, applies, column = OUTPUTS[name]
+                if not applies(dims):
+                    raise ValueError(f"{name} output needs {needs}, got dims {dims}")
+                cells[idx, j] = np.asarray(column(dims, mats, vectors, sectors)).tolist()
+        # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
+        rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -297,43 +338,23 @@ def cmd_sweep(args) -> int:
         if not outputs:
             raise ValueError("sweep needs at least one output")
         for o in outputs:
-            if o not in OUTPUT_NAMES:
-                raise ValueError(f"unknown output {o!r}; known: {OUTPUT_NAMES}")
+            if o not in OUTPUTS:
+                raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")
         if args.family not in FAMILY_BUILDERS:
             raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILY_BUILDERS)}")
-        _, allowed = FAMILY_BUILDERS[args.family]
+        _, allowed, _ = FAMILY_BUILDERS[args.family]
         for name in names:
             if name not in allowed:
                 raise ValueError(f"family {args.family!r} has no parameter {name!r}; allowed: {sorted(allowed)}")
-
-        points = list(product(*[vals for _, vals in grids]))
-
-        def evaluate(point):
-            rho = build_family(args.family, dict(zip(names, point)))
-            return evaluate_outputs(rho, outputs)
-
-        # Evaluate the first grid point up front so structurally invalid
-        # requests (e.g. concurrence of a mixed family) fail as bad specs
-        # before any file is written.
-        first = evaluate(points[0])
-        workers = _max_workers()
-        if len(points) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rest = list(pool.map(evaluate, points[1:]))
-        else:
-            rest = []
+        rows = _sweep_rows(args.family, grids, outputs)
     except (TypeError, ValueError, MixedStateError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_BAD_SPEC
-
-    lines = [",".join(names + outputs)]
-    for point, vals in zip(points, [first] + rest):
-        cells = [_fmt(v) for v in point] + [_fmt(vals[o]) for o in outputs]
-        lines.append(",".join(cells))
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, "\n".join([",".join(names + outputs)] + rows) + "\n")
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mpcorr",
@@ -369,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="NAME=START:STOP:COUNT",
                    help="parameter grid (repeatable, declared order = row-major order)")
     p.add_argument("--outputs", required=True,
-                   help=f"comma-separated list from {', '.join(OUTPUT_NAMES)}")
+                   help=f"comma-separated list from {', '.join(OUTPUTS)}")
     p.add_argument("--output", default="-", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep)
     return parser

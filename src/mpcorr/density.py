@@ -106,19 +106,29 @@ def _require_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has a non-finite (NaN or infinite) entry")
 
 
+def pure_states(amplitudes) -> np.ndarray:
+    """The (B, d, d) stack of |psi><psi|, one per row of a (B, d) array of
+    (not necessarily normalized) amplitudes.  Rows are first scaled exactly,
+    by a power of two, to a largest real or imaginary part in [0.5, 1): no
+    modulus or norm overflows."""
+    vec = np.asarray(amplitudes, dtype=complex)
+    _require_finite(vec, "amplitude vector")
+    largest = np.maximum(np.abs(vec.real), np.abs(vec.imag)).max(axis=1, keepdims=True)
+    if (largest < 1e-300).any():
+        raise ValueError("amplitude vector is zero")
+    vec = vec * np.ldexp(1.0, -np.frexp(largest)[1])
+    vec = vec / np.linalg.norm(vec, axis=1, keepdims=True)
+    return vec[:, :, None] * vec[:, None, :].conj()
+
+
 def from_pure(amplitudes, dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (not necessarily normalized) state
     vector with the given subsystem dimensions."""
     dims = tuple(int(d) for d in dims)
-    vec = np.asarray(amplitudes, dtype=complex).reshape(-1)
+    vec = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
     if vec.size != prod(dims):
         raise ValueError(f"amplitude vector length {vec.size} does not match dims {dims}")
-    _require_finite(vec, "amplitude vector")
-    norm = np.linalg.norm(vec)
-    if norm < 1e-300:
-        raise ValueError("amplitude vector is zero")
-    vec = vec / norm
-    return DensityMatrix(dims, np.outer(vec, vec.conj()))
+    return DensityMatrix(dims, pure_states(vec)[0])
 
 
 def validate(matrix, dims) -> DensityMatrix:

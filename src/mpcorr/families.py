@@ -3,14 +3,16 @@ correlated qubit mixtures, generalized Werner states, GHZ states, and the
 three-parameter tripartite qutrit superposition.
 
 These constructors are the stable vocabulary of the sweep CLI; every output
-is a valid DensityMatrix.
+is a valid DensityMatrix.  The ``*_states`` forms take arrays of parameters
+and return a (B, d, d) stack; the scalar constructor of the same family is
+their one-point case.  An exponential that overflows raises FloatingPointError.
 """
 
-from math import cosh, exp, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .density import DensityMatrix, from_pure, mix, tensor
+from .density import DensityMatrix, from_pure, mix, pure_states, tensor
 from .su_basis import pauli_basis
 
 BELL_VECTORS = {
@@ -35,9 +37,16 @@ def bell(which: str) -> DensityMatrix:
 def rashid(theta: float) -> DensityMatrix:
     """Tilted pure pair (e^-theta |00> + e^theta |11>) / sqrt(2 cosh 2 theta);
     maximally entangled at theta = 0, product as |theta| -> infinity."""
-    theta = float(theta)
-    norm = sqrt(2.0 * cosh(2.0 * theta))
-    return from_pure([exp(-theta) / norm, 0.0, 0.0, exp(theta) / norm], (2, 2))
+    return DensityMatrix((2, 2), rashid_states([float(theta)])[0])
+
+
+def rashid_states(theta) -> np.ndarray:
+    """:func:`rashid` over an array of theta."""
+    theta = np.asarray(theta, dtype=float)
+    zero = np.zeros_like(theta)
+    with np.errstate(over="raise", invalid="ignore"):
+        norm = np.sqrt(2.0 * np.cosh(2.0 * theta))
+        return pure_states(np.stack([np.exp(-theta) / norm, zero, zero, np.exp(theta) / norm], axis=-1))
 
 
 def _bloch_qubit(n: np.ndarray) -> DensityMatrix:
@@ -77,25 +86,34 @@ def generalized_werner(p: float, theta: float = 0.0) -> DensityMatrix:
     gives the correlation matrix -p diag(sech 2theta, sech 2theta,
     1 - p + p sech^2 2theta).
     """
-    p = float(p)
-    theta = float(theta)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"mixing probability p must lie in [0, 1], got {p}")
-    norm = sqrt(2.0 * cosh(2.0 * theta))
-    singlet = from_pure([0.0, exp(theta) / norm, -exp(-theta) / norm, 0.0], (2, 2))
-    maximally_mixed = DensityMatrix((2, 2), np.eye(4, dtype=complex) / 4.0)
-    if p == 0.0:
-        return maximally_mixed
-    if p == 1.0:
-        return singlet
-    return mix([p, 1.0 - p], [singlet, maximally_mixed])
+    return DensityMatrix((2, 2), generalized_werner_states([float(p)], [float(theta)])[0])
+
+
+def generalized_werner_states(p, theta=0.0) -> np.ndarray:
+    """:func:`generalized_werner` over arrays of p and theta."""
+    p, theta = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(theta, dtype=float))
+    outside = ~((0.0 <= p) & (p <= 1.0))
+    if outside.any():
+        raise ValueError(f"mixing probability p must lie in [0, 1], got {p[outside][0]}")
+    zero = np.zeros_like(theta)
+    with np.errstate(over="raise", invalid="ignore"):
+        norm = np.sqrt(2.0 * np.cosh(2.0 * theta))
+        singlet = pure_states(np.stack([zero, np.exp(theta) / norm, -np.exp(-theta) / norm, zero], axis=-1))
+    return p[:, None, None] * singlet + (1.0 - p)[:, None, None] * (np.eye(4) / 4.0)
+
+
+def _whole(name: str, value) -> int:
+    number = float(value)
+    if not number.is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(number)
 
 
 def ghz(parties: int = 3, level: int = 2) -> DensityMatrix:
     """Equal superposition of |i i ... i> over all levels i, for 3 or 4
     parties of 2 or 3 levels (4 parties: qubits only)."""
-    parties = int(parties)
-    level = int(level)
+    parties = _whole("parties", parties)
+    level = _whole("level", level)
     if (parties, level) not in [(3, 2), (3, 3), (4, 2)]:
         raise ValueError(f"supported (parties, level): (3,2), (3,3), (4,2); got ({parties}, {level})")
     dims = (level,) * parties
@@ -109,10 +127,13 @@ def tripartite_qutrit_e3(theta1: float, theta2: float) -> DensityMatrix:
     """Three-qutrit pure state with amplitudes (e^{t1+t2}, e^{-t1}, e^{-t2})
     on |111>, |222>, |333>, normalized.  Equals the three-qutrit GHZ state at
     theta1 = theta2 = 0."""
-    t1 = float(theta1)
-    t2 = float(theta2)
-    vec = np.zeros(27, dtype=complex)
-    vec[0] = exp(t1 + t2)
-    vec[13] = exp(-t1)
-    vec[26] = exp(-t2)
-    return from_pure(vec, (3, 3, 3))
+    return DensityMatrix((3, 3, 3), tripartite_qutrit_e3_states([float(theta1)], [float(theta2)])[0])
+
+
+def tripartite_qutrit_e3_states(theta1, theta2) -> np.ndarray:
+    """:func:`tripartite_qutrit_e3` over arrays of theta1 and theta2."""
+    t1, t2 = np.broadcast_arrays(np.asarray(theta1, dtype=float), np.asarray(theta2, dtype=float))
+    vec = np.zeros(t1.shape + (27,))
+    with np.errstate(over="raise", invalid="ignore"):
+        vec[:, 0], vec[:, 13], vec[:, 26] = np.exp(t1 + t2), np.exp(-t1), np.exp(-t2)
+    return pure_states(vec)

@@ -1,13 +1,24 @@
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpcorr.cli import main
+from helpers import random_density_mat
+
+from mpcorr import families
+from mpcorr.bloch import decompose, decompose_stack
+from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
+from mpcorr.cli import OUTPUTS, main
+from mpcorr.density import DensityMatrix, mix
+from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy
 
 
 def run_cli(argv, capsys):
@@ -347,3 +358,202 @@ def test_console_script_entry_point(tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert json.loads(out.read_text())["dims"] == [2, 2]
+
+
+def test_repeated_main_calls_share_no_arguments(tmp_path, capsys):
+    # The parser is built once per process; list-valued and defaulted
+    # arguments must still start afresh on every call.
+    code, out, _ = run_cli(["sweep", "--family", "generalized-werner", "--param", "p=0.5:0.5:1",
+                            "--param", "theta=0:1:2", "--outputs", "ec"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "p,theta,ec" and len(out.splitlines()) == 3
+    code, out, _ = run_cli(["sweep", "--family", "rashid", "--param", "theta=0:0:1",
+                            "--outputs", "ec"], capsys)
+    assert code == 0
+    assert out.splitlines()[0] == "theta,ec" and len(out.splitlines()) == 2
+    code, out, _ = run_cli(["family", "--family", "bell", "--set", "which=psi-"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["family", "--family", "ghz"], capsys)
+    assert code == 0
+    assert json.loads(out)["dims"] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("amplitude", [[1e308, 0], [1.5e308, 1.5e308]])
+def test_pure_amplitudes_near_overflow(amplitude, tmp_path, capsys):
+    # |+>|0> with huge amplitudes: their moduli and norm overflow unless rescaled first
+    huge = write_json(tmp_path / "huge.json", {"dims": [2, 2], "pure": [amplitude, amplitude, [0, 0], [0, 0]]})
+    unit = write_json(tmp_path / "unit.json", {"dims": [2, 2], "pure": [[1, 0], [1, 0], [0, 0], [0, 0]]})
+    code, out, err = run_cli(["measure", "--input", huge], capsys)
+    assert code == 0 and err == ""
+    code2, out2, _ = run_cli(["measure", "--input", unit], capsys)
+    assert code2 == 0
+    got, want = json.loads(out), json.loads(out2)
+    assert got.keys() == want.keys() == {"e_c", "concurrence", "entropy_bits"}
+    assert got["e_c"] == pytest.approx(want["e_c"], abs=1e-15)
+    assert got["entropy_bits"] == pytest.approx(want["entropy_bits"], abs=1e-14)
+    # at a product state the square root turns roundoff of 1e-16 into about 1e-8
+    assert got["concurrence"] ** 2 == pytest.approx(want["concurrence"] ** 2, abs=1e-15)
+
+
+class TestNonIntegralParameters:
+    def test_family_exit_4(self, capsys):
+        code, out, err = run_cli(["family", "--family", "ghz", "--set", "parties=3.5",
+                                  "--set", "level=2"], capsys)
+        assert code == 4
+        assert out == "" and "whole number" in err
+
+    def test_sweep_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "ghz.csv"
+        code, _, err = run_cli(["sweep", "--family", "ghz", "--param", "parties=3:3.5:2",
+                                "--param", "level=2:2:1", "--outputs", "ec", "--output", str(out)], capsys)
+        assert code == 4
+        assert "whole number" in err
+        assert not out.exists()
+
+    def test_state_file_exit_1(self, tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json", {"family": "ghz", "params": {"parties": 3, "level": 2.5}})
+        code, out, err = run_cli(["measure", "--input", path], capsys)
+        assert code == 1
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+class TestBatchedSweep:
+    WERNER = ["--family", "generalized-werner", "--outputs", "ec,nsv,ph,xi,nanb"]
+
+    def test_grid_splits_are_byte_identical(self, tmp_path, capsys, monkeypatch):
+        import mpcorr.cli as cli
+        whole = []
+        for chunk in (1, 7, cli.SWEEP_CHUNK):
+            monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+            out = tmp_path / f"chunk{chunk}.csv"
+            code, _, _ = run_cli(["sweep", *self.WERNER, "--param", "p=0:1:11",
+                                  "--param", "theta=-2:2:13", "--output", str(out)], capsys)
+            assert code == 0
+            whole.append(out.read_bytes())
+        assert whole[0] == whole[1] == whole[2]
+        monkeypatch.undo()
+        rows = [whole[0].split(b"\n", 1)[0] + b"\n"]
+        for i, p in enumerate(np.linspace(0, 1, 11).tolist()):
+            out = tmp_path / f"row{i}.csv"
+            code, _, _ = run_cli(["sweep", *self.WERNER, "--param", f"p={p!r}:{p!r}:1",
+                                  "--param", "theta=-2:2:13", "--output", str(out)], capsys)
+            assert code == 0
+            rows.append(out.read_bytes().split(b"\n", 1)[1])
+        assert b"".join(rows) == whole[0]
+
+    @pytest.mark.parametrize("family,grid", [
+        ("rashid", ["theta=0:1000:3"]),
+        ("generalized-werner", ["p=0:1.5:4", "theta=0:0:1"]),
+        ("tripartite-qutrit-e3", ["theta1=0:800:2", "theta2=0:0:1"]),
+    ], ids=["rashid-overflow", "werner-p-above-1", "qutrit-overflow"])
+    def test_bad_points_exit_4_without_output(self, family, grid, tmp_path, capsys):
+        out = tmp_path / "bad.csv"
+        params = [arg for spec in grid for arg in ("--param", spec)]
+        code, stdout, err = run_cli(["sweep", "--family", family, *params, "--outputs", "ec",
+                                     "--output", str(out)], capsys)
+        assert code == 4
+        assert stdout == "" and err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_family_changing_party_count_keeps_every_row(self, tmp_path, capsys):
+        from mpcorr import decompose, e_c_multipartite, ghz
+        code, out, _ = run_cli(["sweep", "--family", "ghz", "--param", "parties=3:4:2",
+                                "--param", "level=2:2:1", "--outputs", "ec"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "parties,level,ec"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["3.0", "2.0"], ["4.0", "2.0"]]
+        for line, parties in zip(lines[1:], (3, 4)):
+            assert float(line.split(",")[2]) == pytest.approx(e_c_multipartite(decompose(ghz(parties, 2))),
+                                                              abs=1e-14)
+
+    def test_output_needing_other_shape_exit_4(self, capsys):
+        code, _, err = run_cli(["sweep", "--family", "tripartite-qutrit-e3", "--param", "theta1=0:1:2",
+                                "--param", "theta2=0:0:1", "--outputs", "ec,ph"], capsys)
+        assert code == 4
+        assert "ph output needs a bipartite state" in err
+
+
+def xi_or_nan(rho, dec) -> float:
+    try:
+        return ph_invariants(dec).xi
+    except DegenerateBlochVectorsError:
+        return math.nan
+
+
+# Each sweep output from the public scalar API, given the state and its decomposition.
+SCALAR_OUTPUTS = {
+    "ec": lambda rho, dec: (e_c_bipartite(dec.pair(0, 1), rho.dims) if rho.num_parties == 2
+                            else e_c_multipartite(dec)),
+    "ed": lambda rho, dec: e_d(dec),
+    "concurrence": lambda rho, dec: concurrence_pure(rho),
+    "entropy": lambda rho, dec: entanglement_entropy(rho),
+    "nsv": lambda rho, dec: correlation_spectrum(dec.pair(0, 1)).nsv_count,
+    "ph": lambda rho, dec: int(ph_test(rho).entangled),
+    "xi": xi_or_nan,
+    "nanb": lambda rho, dec: float(np.dot(*dec.coherence_vectors)),
+}
+
+# family -> (scalar builder, parameter ranges, every output that applies)
+SWEPT = {
+    # beyond |theta| = 12 the PT's negative eigenvalue lies within PT_NEGATIVITY_TOL of 0
+    "rashid": (families.rashid, {"theta": st.floats(-15, 15)}, "ec,concurrence,entropy,nsv,ph,xi,nanb"),
+    "generalized-werner": (families.generalized_werner, {"p": st.floats(0, 1), "theta": st.floats(-3, 3)},
+                           "ec,nsv,ph,xi,nanb"),
+    "tripartite-qutrit-e3": (families.tripartite_qutrit_e3,
+                             {"theta1": st.floats(-3, 3), "theta2": st.floats(-3, 3)}, "ec,ed"),
+}
+
+
+@st.composite
+def sweep_specs(draw):
+    family = draw(st.sampled_from(sorted(SWEPT)))
+    grids = {name: (draw(values), draw(values), draw(st.integers(1, 4)))
+             for name, values in SWEPT[family][1].items()}
+    return family, grids
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_specs())
+def test_hypothesis_sweep_cells_match_scalar_api(spec):
+    family, grids = spec
+    builder, _, outputs = SWEPT[family]
+    params = [arg for name, (lo, hi, n) in grids.items() for arg in ("--param", f"{name}={lo!r}:{hi!r}:{n}")]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert main(["sweep", "--family", family, *params, "--outputs", outputs]) == 0
+    lines = buf.getvalue().splitlines()
+    header = lines[0].split(",")
+    assert len(lines) == 1 + math.prod(n for _, _, n in grids.values())
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        rho = builder(**{name: float(row[name]) for name in grids})
+        dec = decompose(rho)
+        for name in outputs.split(","):
+            want, got = SCALAR_OUTPUTS[name](rho, dec), row[name]
+            if name in ("ph", "nsv"):
+                assert got == str(want), (name, row)
+            elif math.isnan(want):
+                assert got == "nan", (name, row)
+            else:
+                assert float(got) == pytest.approx(want, abs=1e-14), (name, row)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
+def test_output_columns_match_scalar_api_on_random_states(dims, rng):
+    d = math.prod(dims)
+    rhos = [DensityMatrix(dims, random_density_mat(d, rng, rank=r)) for r in (1, 2, d, d)]
+    # C of rank one plus a 1e-11 admixture: only the relative NSV threshold drops the small values
+    classical = DensityMatrix(dims, np.diag([0.5] + [0.0] * (d - 2) + [0.5]))
+    rhos += [mix([1 - 1e-11, 1e-11], [classical, rho]) for rho in rhos[2:]]
+    mats = np.stack([rho.matrix for rho in rhos])
+    vectors, sectors = decompose_stack(dims, mats)
+    for name, (_, applies, column) in OUTPUTS.items():
+        if not applies(dims) or name in ("concurrence", "entropy"):
+            continue
+        got = np.asarray(column(dims, mats, vectors, sectors)).tolist()
+        want = [SCALAR_OUTPUTS[name](rho, decompose(rho)) for rho in rhos]
+        if name in ("ph", "nsv"):
+            assert got == want, name
+        else:
+            assert got == pytest.approx(want, abs=1e-14, nan_ok=True), name
