@@ -164,7 +164,9 @@ def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     return vectors, {s: corr[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
 
 
-def _decompose(rho: DensityMatrix) -> BlochDecomposition:
+def decompose(rho: DensityMatrix) -> BlochDecomposition:
+    """Coherence vectors and correlation tensors of a 2-, 3- or 4-party state
+    (see :func:`decompose_stack` for the supported shapes)."""
     vectors, sectors = decompose_stack(rho.dims, rho.matrix[None])
     sectors = {s: c[0] for s, c in sectors.items()}
     pairs = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 2})
@@ -188,7 +190,7 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:
     """Coherence vectors and the C matrix of a two-party state (any n x m)."""
     if rho.num_parties != 2:
         raise ValueError(f"expected 2 parties, got dims {rho.dims}")
-    return _decompose(rho)
+    return decompose(rho)
 
 
 def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
@@ -200,7 +202,7 @@ def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
     """
     if rho.num_parties != 3:
         raise ValueError(f"expected 3 parties, got dims {rho.dims}")
-    return _decompose(rho)
+    return decompose(rho)
 
 
 def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
@@ -208,15 +210,7 @@ def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
     C matrices, four triple D tensors, and the four-party E tensor."""
     if rho.num_parties != 4:
         raise ValueError(f"expected 4 parties, got dims {rho.dims}")
-    return _decompose(rho)
-
-
-def decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Dispatch to the 2-, 3-, or 4-party decomposition by party count."""
-    by_arity = {2: decompose_bipartite, 3: decompose_tripartite, 4: decompose_quadripartite}
-    if rho.num_parties not in by_arity:
-        raise ValueError(f"decomposition supports 2 to 4 parties, got {rho.num_parties}")
-    return by_arity[rho.num_parties](rho)
+    return decompose(rho)
 
 
 def _correlation_sectors(decomp: BlochDecomposition):

@@ -213,3 +213,37 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
         min_pt_eigenvalue=verdict.min_eigenvalue,
         invariants=invariants,
     )
+
+
+def _ph(dims, mats, vectors, sectors):
+    # 1 where the partial transpose on the second party has a negative eigenvalue
+    pt = mats.reshape((len(mats),) + dims + dims).swapaxes(2, 4).reshape(mats.shape)
+    return (np.linalg.eigvalsh(pt).min(axis=1) < -PT_NEGATIVITY_TOL).astype(int)
+
+
+def _nsv(dims, mats, vectors, sectors):
+    sv = np.linalg.svd(sectors[(0, 1)], compute_uv=False)
+    return (sv > np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv[:, :1])).sum(axis=1)
+
+
+def _nanb(dims, mats, vectors, sectors):
+    return (vectors[0] * vectors[1]).sum(axis=1)
+
+
+def _xi(dims, mats, vectors, sectors):
+    (na, nb), c = vectors, sectors[(0, 1)]
+    na_nb = _nanb(dims, mats, vectors, sectors)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.trace(c, axis1=1, axis2=2) - np.einsum("bi,bij,bj->b", na, c, nb) / na_nb
+    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi)
+
+
+# The classification quantities as columns, in the form of
+# measures.COLUMNS: the NSV count, the PH verdict (0/1), and the two-qubit
+# invariants, xi being NaN where n_A . n_B degenerates.
+COLUMNS = {
+    "nsv": ("a bipartite state", lambda dims: len(dims) == 2, _nsv),
+    "ph": ("a bipartite state", lambda dims: len(dims) == 2, _ph),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), _xi),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), _nanb),
+}

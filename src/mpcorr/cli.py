@@ -8,8 +8,12 @@ Subcommands:
 * ``family``     instantiate a named state family -> state JSON
 * ``sweep``      grid-evaluate outputs over a family's parameters -> CSV
 
-Exit codes: 0 ok, 1 input parse error, 2 state validation failure (residuals
-as JSON on stderr), 3 unsupported party structure, 4 bad family/sweep spec.
+Exit codes: 0 ok, 1 usage error or an input file that cannot be read or
+parsed or an output file that cannot be written, 2 state validation failure
+(residuals as JSON on stderr), 3 unsupported party structure, 4 bad
+family/sweep spec.  :func:`main` alone maps failures to these codes; every
+failure prints one line to stderr (the residual object for 2), never a
+traceback, and writes no output file.
 
 Output is deterministic: floats are serialized as Python's shortest
 round-trip decimals, CSV uses comma separators and LF line endings, and sweep
@@ -22,19 +26,18 @@ chunks or into commands.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from functools import cache
 from itertools import islice, product
 from math import prod
 
 import numpy as np
 
-from . import families
+from . import classify, families, measures
 from .bloch import decompose, decompose_stack
-from .classify import (BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL,
-                       classify_two_qubit)
+from .classify import classify_two_qubit
 from .density import DensityMatrix, StateValidationError, purity, state_from_json_dict, state_to_json_dict
-from .measures import (QUAD_WEIGHT, TRIPLE_WEIGHTS, MixedStateError, _pair_weight, concurrence_pure,
-                       entanglement_entropy, measure_set)
+from .measures import measure_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -55,7 +58,19 @@ FAMILY_BUILDERS = {
                              (families.tripartite_qutrit_e3_states, (3, 3, 3))),
 }
 
+# Families whose parameters are not numbers (a Bell state name, a list of
+# mixture terms), so no --param grid can sweep them.
+UNSWEEPABLE = frozenset({"bell", "cc-mixture"})
+
 SWEEP_CHUNK = 1024                      # grid points per stack of states
+
+# Sweep outputs: name -> (what it needs, test on dims, column function), the
+# columns that measures and classify define for their quantities.
+OUTPUTS = {**measures.COLUMNS, **classify.COLUMNS}
+
+
+class InputError(ValueError):
+    """The command line or an input file could not be parsed (exit 1)."""
 
 
 def _call_builder(name: str, builder, params: dict):
@@ -65,14 +80,19 @@ def _call_builder(name: str, builder, params: dict):
         raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
-def build_family(name: str, params: dict) -> DensityMatrix:
+def _builder(name: str, params):
+    """The scalar builder of a family, after checking the parameter names."""
     if name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
     builder, allowed, _ = FAMILY_BUILDERS[name]
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(allowed)}")
-    return _call_builder(name, builder, params)
+    return builder
+
+
+def build_family(name: str, params: dict) -> DensityMatrix:
+    return _call_builder(name, _builder(name, params), params)
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -87,63 +107,6 @@ def load_state(path: str) -> DensityMatrix:
     return state_from_json_dict(obj)
 
 
-def _sum_squares(c: np.ndarray) -> np.ndarray:
-    return (c * c).sum(axis=tuple(range(1, c.ndim)))
-
-
-def _sector_norm(parties: int, weight):
-    """weight(dims) times the summed squares of the correlation tensors on
-    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee."""
-    return lambda dims, mats, vectors, sectors: weight(dims) * sum(
-        _sum_squares(c) for s, c in sectors.items() if len(s) == parties)
-
-
-def _ph(dims, mats, vectors, sectors):
-    # 1 where the partial transpose on the second party has a negative eigenvalue
-    pt = mats.reshape((len(mats),) + dims + dims).swapaxes(2, 4).reshape(mats.shape)
-    return (np.linalg.eigvalsh(pt).min(axis=1) < -PT_NEGATIVITY_TOL).astype(int)
-
-
-def _nsv(dims, mats, vectors, sectors):
-    sv = np.linalg.svd(sectors[(0, 1)], compute_uv=False)
-    return (sv > np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv[:, :1])).sum(axis=1)
-
-
-def _nanb(dims, mats, vectors, sectors):
-    return (vectors[0] * vectors[1]).sum(axis=1)
-
-
-def _xi(dims, mats, vectors, sectors):
-    (na, nb), c = vectors, sectors[(0, 1)]
-    na_nb = _nanb(dims, mats, vectors, sectors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.trace(c, axis1=1, axis2=2) - np.einsum("bi,bij,bj->b", na, c, nb) / na_nb
-    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi)
-
-
-def _per_state(measure):
-    return lambda dims, mats, vectors, sectors: [measure(DensityMatrix(dims, m)) for m in mats]
-
-
-# Sweep outputs: name -> (what it needs, test on dims, column function).  A
-# column function maps a (B, d, d) stack, its coherence vectors and its
-# correlation tensors (see bloch.decompose_stack) to B values.  Concurrence
-# and entropy go state by state, keeping their purity check; xi is NaN where
-# n_A . n_B degenerates.
-OUTPUTS = {
-    "ec": ("a decomposable state", lambda dims: True, _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
-    "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
-           _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
-    "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
-    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(concurrence_pure)),
-    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(entanglement_entropy)),
-    "nsv": ("a bipartite state", lambda dims: len(dims) == 2, _nsv),
-    "ph": ("a bipartite state", lambda dims: len(dims) == 2, _ph),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), _xi),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), _nanb),
-}
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -153,7 +116,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _dump_json(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def decomposition_report(rho: DensityMatrix) -> dict:
@@ -177,80 +140,33 @@ def decomposition_report(rho: DensityMatrix) -> dict:
     return report
 
 
-def _load(path: str) -> tuple[DensityMatrix | None, int]:
-    """The state in a file, or None and the exit code after reporting why."""
+def _load(path: str) -> DensityMatrix:
+    """:func:`load_state`, raising InputError for a file that does not parse."""
     try:
-        return load_state(path), EXIT_OK
-    except StateValidationError as exc:
-        sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
-        return None, EXIT_VALIDATION
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return None, EXIT_PARSE
+        return load_state(path)
+    except StateValidationError:
+        raise
+    except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise InputError(exc) from exc
 
 
-def cmd_decompose(args) -> int:
-    rho, code = _load(args.input)
-    if rho is None:
-        return code
-    if not 2 <= rho.num_parties <= 4:
-        sys.stderr.write(f"error: decomposition supports 2 to 4 parties, got dims {rho.dims}\n")
-        return EXIT_UNSUPPORTED_SHAPE
-    try:
-        report = decomposition_report(rho)
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNSUPPORTED_SHAPE
-    _write_text(args.output, _dump_json(report))
-    return EXIT_OK
+def cmd_decompose(args) -> None:
+    _write_text(args.output, _dump_json(decomposition_report(_load(args.input))))
 
 
-def cmd_measure(args) -> int:
-    rho, code = _load(args.input)
-    if rho is None:
-        return code
-    try:
-        ms = measure_set(rho)
-    except (ValueError, MixedStateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNSUPPORTED_SHAPE
-    report = {
-        key: value
-        for key, value in (
-            ("e_c", ms.e_c), ("e_d", ms.e_d), ("e_e", ms.e_e),
-            ("concurrence", ms.concurrence), ("entropy_bits", ms.entropy_bits),
-        )
-        if value is not None
-    }
-    _write_text(args.output, _dump_json(report))
-    return EXIT_OK
+def cmd_measure(args) -> None:
+    ms = measure_set(_load(args.input))
+    _write_text(args.output, _dump_json({key: value for key, value in asdict(ms).items() if value is not None}))
 
 
-def cmd_classify(args) -> int:
-    rho, code = _load(args.input)
-    if rho is None:
-        return code
+def cmd_classify(args) -> None:
+    rho = _load(args.input)
     if rho.dims != (2, 2):
-        sys.stderr.write(f"error: classification supports two-qubit states (dims [2, 2]), got dims {list(rho.dims)}\n")
-        return EXIT_UNSUPPORTED_SHAPE
+        raise ValueError(f"classification supports two-qubit states (dims [2, 2]), got dims {list(rho.dims)}")
     rep = classify_two_qubit(rho)
-    inv = None
-    if rep.invariants is not None:
-        inv = {
-            "xi": rep.invariants.xi,
-            "na_dot_nb": rep.invariants.na_dot_nb,
-            "na_dot_c_nb": rep.invariants.na_dot_c_nb,
-        }
-    report = {
-        "category": rep.category.value,
-        "nsv_count": rep.nsv_count,
-        "ph_entangled": rep.ph_entangled,
-        "min_pt_eigenvalue": rep.min_pt_eigenvalue,
-        "invariants": inv,
-        "purity": purity(rho),
-    }
+    # the report's fields in their declared order, invariants as an object or null
+    report = {**asdict(rep), "category": rep.category.value, "purity": purity(rho)}
     _write_text(args.output, _dump_json(report))
-    return EXIT_OK
 
 
 def _parse_set(pairs) -> dict:
@@ -266,15 +182,9 @@ def _parse_set(pairs) -> dict:
     return params
 
 
-def cmd_family(args) -> int:
-    try:
-        params = _parse_set(args.set)
-        rho = build_family(args.family, params)
-    except (TypeError, ValueError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_SPEC
+def cmd_family(args) -> None:
+    rho = build_family(args.family, _parse_set(args.set))
     _write_text(args.output, _dump_json(state_to_json_dict(rho)))
-    return EXIT_OK
 
 
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
@@ -326,37 +236,36 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
     return rows
 
 
-def cmd_sweep(args) -> int:
-    try:
-        grids = [_parse_grid(spec) for spec in args.param or []]
-        if not grids:
-            raise ValueError("sweep needs at least one --param grid")
-        names = [name for name, _ in grids]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate parameter names in {names}")
-        outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
-        if not outputs:
-            raise ValueError("sweep needs at least one output")
-        for o in outputs:
-            if o not in OUTPUTS:
-                raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")
-        if args.family not in FAMILY_BUILDERS:
-            raise ValueError(f"unknown family {args.family!r}; known: {sorted(FAMILY_BUILDERS)}")
-        _, allowed, _ = FAMILY_BUILDERS[args.family]
-        for name in names:
-            if name not in allowed:
-                raise ValueError(f"family {args.family!r} has no parameter {name!r}; allowed: {sorted(allowed)}")
-        rows = _sweep_rows(args.family, grids, outputs)
-    except (TypeError, ValueError, MixedStateError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_BAD_SPEC
+def cmd_sweep(args) -> None:
+    if args.family in UNSWEEPABLE:
+        raise ValueError(f"family {args.family!r} cannot be swept: its parameters are not numbers")
+    grids = [_parse_grid(spec) for spec in args.param or []]
+    if not grids:
+        raise ValueError("sweep needs at least one --param grid")
+    names = [name for name, _ in grids]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate parameter names in {names}")
+    _builder(args.family, names)
+    outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
+    if not outputs:
+        raise ValueError("sweep needs at least one output")
+    for o in outputs:
+        if o not in OUTPUTS:
+            raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")
+    rows = _sweep_rows(args.family, grids, outputs)
     _write_text(args.output, "\n".join([",".join(names + outputs)] + rows) + "\n")
-    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError on a usage error, for :func:`main` to report."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mpcorr",
         description="Correlation-tensor decomposition, correlation measures, and "
                     "entanglement classification for multipartite qudit states.",
@@ -366,24 +275,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="decompose a state into coherence vectors and correlation tensors")
     p.add_argument("--input", required=True, help="state JSON file (or family-spec JSON)")
     p.add_argument("--output", default="-", help="report JSON path (default stdout)")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(func=cmd_decompose, failure_code=EXIT_UNSUPPORTED_SHAPE)
 
     p = sub.add_parser("measure", help="compute the correlation measures of a state")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_measure)
+    p.set_defaults(func=cmd_measure, failure_code=EXIT_UNSUPPORTED_SHAPE)
 
     p = sub.add_parser("classify", help="classify a two-qubit state")
     p.add_argument("--input", required=True)
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, failure_code=EXIT_UNSUPPORTED_SHAPE)
 
     p = sub.add_parser("family", help="instantiate a named state family")
     p.add_argument("--family", required=True, choices=sorted(FAMILY_BUILDERS))
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="family parameter (repeatable); values parsed as JSON when possible")
     p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_family)
+    p.set_defaults(func=cmd_family, failure_code=EXIT_BAD_SPEC)
 
     p = sub.add_parser("sweep", help="evaluate outputs over a parameter grid, emit CSV")
     p.add_argument("--family", required=True)
@@ -392,13 +301,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outputs", required=True,
                    help=f"comma-separated list from {', '.join(OUTPUTS)}")
     p.add_argument("--output", default="-", help="CSV path (default stdout)")
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func=cmd_sweep, failure_code=EXIT_BAD_SPEC)
     return parser
 
 
+def _fail(exc: Exception, code: int) -> int:
+    sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
+    return code
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command and return its exit code.  Each failure is reported
+    as one ``error:`` line on stderr: a usage error, an input file that does
+    not parse and a file that cannot be opened give 1; any other TypeError
+    or ValueError gives the command's failure code.  A state that fails
+    validation gives 2, with its residual as a JSON object instead."""
+    code = EXIT_PARSE
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.failure_code
+        args.func(args)
+    except SystemExit as exc:           # --help; usage errors raise InputError
+        return exc.code
+    except StateValidationError as exc:
+        sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
+        return EXIT_VALIDATION
+    except (InputError, OSError) as exc:
+        return _fail(exc, EXIT_PARSE)
+    except (TypeError, ValueError) as exc:
+        return _fail(exc, code)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -135,21 +135,26 @@ def validate(matrix, dims) -> DensityMatrix:
     """Check the three density-matrix invariants and return a DensityMatrix.
 
     Raises NotHermitianError, TraceNotOneError, or NotPSDError, each carrying
-    the offending residual magnitude, and a plain ValueError for a NaN or
-    infinite entry, which every comparison with a tolerance would let pass.
+    the offending residual magnitude, a plain ValueError for a NaN or
+    infinite entry, which every comparison with a tolerance would let pass,
+    and FloatingPointError for entries so large (near 1e308) that a residual
+    or an eigenvalue overflows.
     """
     dims = tuple(int(d) for d in dims)
     mat = np.asarray(matrix, dtype=complex)
     _check_shape(dims, mat)
     _require_finite(mat, "matrix")
-    herm = float(np.abs(mat - mat.conj().T).max())
+    with np.errstate(over="raise"):
+        herm = float(np.abs(mat - mat.conj().T).max())
+        tr = complex(np.trace(mat))
     if herm > HERMITICITY_TOL:
         raise NotHermitianError(f"matrix is not Hermitian (max |rho - rho^dag| = {herm:.3e})", herm)
-    tr = complex(np.trace(mat))
     tr_res = abs(tr - 1.0)
     if tr_res > TRACE_TOL:
         raise TraceNotOneError(f"trace is {tr:.12g}, not 1 (residual {tr_res:.3e})", tr_res)
     min_eig = float(np.linalg.eigvalsh(mat).min())
+    if not np.isfinite(min_eig):
+        raise FloatingPointError(f"matrix eigenvalues overflow (least eigenvalue {min_eig})")
     if min_eig < -PSD_TOL:
         raise NotPSDError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})", -min_eig)
     return DensityMatrix(dims, mat)
@@ -168,7 +173,7 @@ def mix(weights, states) -> DensityMatrix:
         raise ValueError(f"{ws.size} weights for {len(states)} states")
     if ws.size == 0:
         raise ValueError("empty mixture")
-    if np.any(ws <= 0):
+    if not np.all(ws > 0):                  # NaN weights too
         raise ValueError(f"mixture weights must be positive, got {ws.tolist()}")
     if abs(ws.sum() - 1.0) > 1e-12:
         raise ValueError(f"mixture weights sum to {ws.sum():.15g}, not 1")
@@ -245,7 +250,8 @@ def _complex_pairs(obj, what: str) -> np.ndarray:
     arr = np.asarray(obj, dtype=float)
     if arr.ndim < 1 or arr.shape[-1] != 2:
         raise ValueError(f"{what} entries must be [re, im] pairs")
-    return arr[..., 0] + 1j * arr[..., 1]
+    with np.errstate(invalid="ignore"):     # 1j * inf; from_pure and validate reject it
+        return arr[..., 0] + 1j * arr[..., 1]
 
 
 def state_from_json_dict(obj: dict) -> DensityMatrix:

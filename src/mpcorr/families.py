@@ -5,7 +5,8 @@ three-parameter tripartite qutrit superposition.
 These constructors are the stable vocabulary of the sweep CLI; every output
 is a valid DensityMatrix.  The ``*_states`` forms take arrays of parameters
 and return a (B, d, d) stack; the scalar constructor of the same family is
-their one-point case.  An exponential that overflows raises FloatingPointError.
+their one-point case.  An overflow, in an exponential or in the Bloch norms
+and weights of a mixture, raises FloatingPointError.
 """
 
 from math import sqrt
@@ -54,6 +55,7 @@ def _bloch_qubit(n: np.ndarray) -> DensityMatrix:
     return DensityMatrix((2,), (np.eye(2, dtype=complex) + np.einsum("i,iab->ab", n, sig)) / 2.0)
 
 
+@np.errstate(over="raise")
 def cc_mixture(terms) -> DensityMatrix:
     """Classically correlated two-qubit state sum_k p_k rho_A,k x rho_B,k,
     each factor given by its Bloch vector.
@@ -70,7 +72,7 @@ def cc_mixture(terms) -> DensityMatrix:
         na = np.asarray(na, dtype=float).reshape(3)
         nb = np.asarray(nb, dtype=float).reshape(3)
         for tag, n in (("A", na), ("B", nb)):
-            if np.linalg.norm(n) > 1.0 + 1e-12:
+            if not np.linalg.norm(n) <= 1.0 + 1e-12:
                 raise ValueError(f"term {k}: Bloch vector {tag} has norm {np.linalg.norm(n):.6f} > 1")
         weights.append(float(p))
         products.append(tensor(_bloch_qubit(na), _bloch_qubit(nb)))

@@ -12,7 +12,7 @@ from math import log2
 
 import numpy as np
 
-from .bloch import BlochDecomposition, decompose
+from .bloch import BlochDecomposition, decompose_stack
 from .density import DensityMatrix, partial_trace, purity
 
 PURITY_TOL = 1e-8
@@ -91,7 +91,7 @@ def e_e(decomp: BlochDecomposition) -> float:
 
 def _require_pure(rho: DensityMatrix, what: str) -> None:
     p = purity(rho)
-    if p < 1.0 - PURITY_TOL:
+    if not p >= 1.0 - PURITY_TOL:
         raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {p:.9f})")
 
 
@@ -114,6 +114,37 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
     return float(-sum(m * log2(m) for m in mu if m > 1e-15))
 
 
+def _sector_norm(parties: int, weight):
+    """weight(dims) times the summed squares of the correlation tensors on
+    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee."""
+    return lambda dims, mats, vectors, sectors: weight(dims) * sum(
+        (c * c).sum(axis=tuple(range(1, c.ndim))) for s, c in sectors.items() if len(s) == parties)
+
+
+def _per_state(measure):
+    return lambda dims, mats, vectors, sectors: [measure(DensityMatrix(dims, m)) for m in mats]
+
+
+# The measures as columns: name -> (what it needs, test on dims, column
+# function).  A column function maps a (B, d, d) stack, its coherence vectors
+# and its correlation tensors (see bloch.decompose_stack) to B values.
+# Concurrence and entropy go state by state and raise MixedStateError on a
+# mixed state.
+COLUMNS = {
+    "ec": ("a decomposable state",
+           lambda dims: len(dims) == 2 or len(dims) == 3 and len(set(dims)) == 1 or dims == (2, 2, 2, 2),
+           _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
+    "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
+           _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
+    "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
+    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(concurrence_pure)),
+    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(entanglement_entropy)),
+}
+
+# MeasureSet field of each column
+_FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", "entropy": "entropy_bits"}
+
+
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """All measures applicable to the state's party structure.
 
@@ -121,19 +152,15 @@ def measure_set(rho: DensityMatrix) -> MeasureSet:
     dimension 3-party states get the pairwise sum and (for qubits/qutrits)
     e_d; four-qubit states get the pairwise sum and e_e.
     """
-    n = rho.num_parties
-    if n == 2:
-        dec = decompose(rho)
-        ec = e_c_bipartite(dec.pair(0, 1), rho.dims)
-        if purity(rho) >= 1.0 - PURITY_TOL:
-            return MeasureSet(e_c=ec, concurrence=concurrence_pure(rho),
-                              entropy_bits=entanglement_entropy(rho))
-        return MeasureSet(e_c=ec)
-    if n == 3 and len(set(rho.dims)) == 1:
-        dec = decompose(rho)
-        ed = e_d(dec) if rho.dims[0] in TRIPLE_WEIGHTS else None
-        return MeasureSet(e_c=e_c_multipartite(dec), e_d=ed)
-    if n == 4 and rho.dims == (2, 2, 2, 2):
-        dec = decompose(rho)
-        return MeasureSet(e_c=e_c_multipartite(dec), e_e=e_e(dec))
-    raise ValueError(f"no measures defined for party structure {rho.dims}")
+    columns = {name: column for name, (_, applies, column) in COLUMNS.items() if applies(rho.dims)}
+    if not columns:
+        raise ValueError(f"no measures defined for party structure {rho.dims}")
+    mats = rho.matrix[None]
+    vectors, sectors = decompose_stack(rho.dims, mats)
+    values = {}
+    for name, column in columns.items():
+        try:
+            values[_FIELDS[name]] = float(column(rho.dims, mats, vectors, sectors)[0])
+        except MixedStateError:
+            pass
+    return MeasureSet(**values)

@@ -4,11 +4,11 @@ import math
 import os
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_density_mat
@@ -16,7 +16,7 @@ from helpers import random_density_mat
 from mpcorr import families
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
-from mpcorr.cli import OUTPUTS, main
+from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, main
 from mpcorr.density import DensityMatrix, mix
 from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy
 
@@ -557,3 +557,226 @@ def test_output_columns_match_scalar_api_on_random_states(dims, rng):
             assert got == want, name
         else:
             assert got == pytest.approx(want, abs=1e-14, nan_ok=True), name
+
+
+def one_error_line(out, err) -> bool:
+    return out == "" and err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("argv", [
+        ["family", "--family", "bell", "--set", "which=psi-"],
+        ["sweep", "--family", "rashid", "--param", "theta=0:1:3", "--outputs", "ec"],
+        ["decompose", "--input", "SINGLET"],
+    ], ids=["family", "sweep", "decompose"])
+    def test_unwritable_output_exit_1(self, argv, tmp_path, capsys):
+        target = tmp_path / "no-such-dir" / "out.txt"
+        argv = [singlet_file(tmp_path) if arg == "SINGLET" else arg for arg in argv]
+        code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+        assert code == 1
+        assert one_error_line(out, err)
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decompose"],
+        ["sweep", "--family", "rashid", "--param", "theta=0:1:3"],
+        ["transmogrify", "--input", "x.json"],
+        [],
+        ["measure", "--input", "x.json", "--verbose"],
+        ["measure", "--input", "x.json", "two\nlines"],
+    ], ids=["missing-input", "missing-outputs", "unknown-subcommand", "no-subcommand", "unknown-option",
+            "line-break-in-argument"])
+    def test_usage_error_exit_1(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1
+        assert one_error_line(out, err)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["sweep", "--help"]])
+    def test_help_exit_0(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0
+        assert out.startswith("usage: mpcorr") and err == ""
+
+    def test_help_and_usage_error_as_process_exit_codes(self):
+        for argv, want in ((["-h"], 0), (["decompose"], 1)):
+            result = subprocess.run([sys.executable, "-m", "mpcorr.cli", *argv], capture_output=True, text=True)
+            assert result.returncode == want
+            assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("family,grid", [("bell", "which=0:1:2"), ("cc-mixture", "terms=0:1:2")])
+    def test_unsweepable_family_exit_4(self, family, grid, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(["sweep", "--family", family, "--param", grid, "--outputs", "ec",
+                                     "--output", str(out)], capsys)
+        assert code == 4
+        assert one_error_line(stdout, err)
+        assert f"{family!r} cannot be swept" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decompose", "measure", "classify"])
+    @pytest.mark.parametrize("text", [
+        '{"dims": null, "pure": [[1, 0], [0, 0]]}',
+        '{"dims": [2], "pure": [[1' + "0" * 400 + ', 0], [0, 0]]}',
+        '{"dims": [1e400], "pure": [[1, 0], [0, 0]]}',
+        '{"dims": [2], "pure": {"re": 1}}',
+        '{"dims": [2], "pure": [[0, Infinity], [1, 0]]}',
+        '{"family": ["bell"]}',
+        "[" * 100000 + "]" * 100000,
+        '{"dims": [2], "matrix": [[[1e308, 0], [0, 0]], [[0, 0], [1e308, 0]]]}',
+        '{"dims": [2], "matrix": [[[0.5, 0], [1.7e308, 1.7e308]], [[1.7e308, -1.7e308], [0.5, 0]]]}',
+        '{"family": "cc-mixture", "params": {"terms": [[NaN, [0, 0, 1], [0, 0, 1]]]}}',
+        '{"family": "cc-mixture", "params": {"terms": [[1, [NaN, 0, 0], [0, 0, 1]]]}}',
+        '{"family": "cc-mixture", "params": {"terms": [[1, [1e308, 1e308, 0], [0, 0, 1]]]}}',
+    ], ids=["null-dims", "huge-integer", "infinite-dims", "object-amplitudes", "infinite-imaginary-part",
+            "list-family", "deep-nesting", "overflowing-trace", "overflowing-eigenvalues", "nan-mixture-weight",
+            "nan-bloch-vector", "overflowing-bloch-vector"])
+    def test_unusable_state_file_exit_1(self, text, command, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli([command, "--input", str(path)], capsys)
+        assert code == 1
+        assert one_error_line(out, err)
+
+
+def test_report_keys_in_order(tmp_path, capsys):
+    path = write_json(tmp_path / "w.json", {"family": "generalized-werner", "params": {"p": 0.5, "theta": 0.3}})
+    reports = {}
+    for command in ("decompose", "measure", "classify"):
+        code, out, _ = run_cli([command, "--input", path], capsys)
+        assert code == 0
+        reports[command] = json.loads(out)
+    assert list(reports["decompose"]) == ["dims", "coherence_vectors", "pair_correlations", "triple_correlations",
+                                          "quad_correlations"]
+    assert list(reports["measure"]) == ["e_c"]
+    assert list(reports["classify"]) == ["category", "nsv_count", "ph_entangled", "min_pt_eigenvalue",
+                                         "invariants", "purity"]
+    assert list(reports["classify"]["invariants"]) == ["xi", "na_dot_nb", "na_dot_c_nb"]
+
+
+# -- property tests: whatever the input, an exit code in 0..4, one line of
+# stderr (or the residual object) on failure, and strict JSON on success --
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_outcome(code, out, err):
+    assert code in range(5), (code, err)
+    if code == 0:
+        assert err == ""
+    elif code == 2:
+        assert out == ""
+        assert set(strict_json(err)) == {"error", "residual"}
+    else:
+        assert one_error_line(out, err), err
+
+
+SANE_NUMBERS = st.floats(-2, 2)
+NUMBERS = SANE_NUMBERS | st.floats() | st.sampled_from([1e308, -1e308, 1e-320]) | st.integers(-10 ** 400, 10 ** 400)
+JSON_VALUES = st.recursive(st.none() | st.booleans() | NUMBERS | st.text(max_size=4),
+                           lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                                       max_size=3),
+                           max_leaves=12)
+SHAPES = [[2], [2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]]
+PARAM_NAMES = ["which", "theta", "terms", "p", "parties", "level", "theta1", "theta2"]
+
+
+@st.composite
+def state_documents(draw):
+    kind = draw(st.sampled_from(["pure", "matrix", "family", "any"]))
+    if kind == "any":
+        return draw(JSON_VALUES)
+    number = draw(st.sampled_from([SANE_NUMBERS, NUMBERS]))      # half the documents stay finite
+    if kind == "family":
+        vector = st.lists(number, min_size=3, max_size=3)
+        values = number | st.sampled_from(["psi-", "phi+", "PSI+"]) | st.lists(st.tuples(number, vector, vector),
+                                                                               max_size=3) | JSON_VALUES
+        doc = {"family": draw(st.sampled_from(sorted(FAMILY_BUILDERS)) | JSON_VALUES)}
+        if draw(st.booleans()):
+            doc["params"] = draw(st.dictionaries(st.sampled_from(PARAM_NAMES) | st.text(max_size=3), values,
+                                                 max_size=3) | JSON_VALUES)
+        return doc
+    dims = draw(st.sampled_from(SHAPES) | st.lists(st.integers(-1, 4), max_size=4) | JSON_VALUES)
+    size = math.prod(dims) if dims in SHAPES else draw(st.integers(0, 4))
+    pair = st.lists(number, min_size=2, max_size=2) | JSON_VALUES
+    if kind == "pure":
+        payload = draw(st.lists(st.lists(number, min_size=2, max_size=2), min_size=size, max_size=size)
+                       | st.lists(pair, max_size=size + 1) | JSON_VALUES)
+    elif draw(st.booleans()):
+        # a valid mixed state, so that the commands also run to the end
+        amps = np.array(draw(st.lists(SANE_NUMBERS, min_size=2 * size, max_size=2 * size)))
+        vec = amps[:size] + 1j * amps[size:]
+        mat = (np.outer(vec, vec.conj()) + np.eye(size)) / (vec.conj() @ vec + size).real
+        payload = [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+    else:
+        payload = draw(st.lists(st.lists(pair, min_size=size, max_size=size), min_size=size, max_size=size)
+                       | JSON_VALUES)
+    return {"dims": dims, kind: payload}
+
+
+@settings(max_examples=200, deadline=None)
+@given(document=state_documents(), command=st.sampled_from(["decompose", "measure", "classify"]))
+def test_hypothesis_state_files_never_raise(document, command, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "hypothesis-state.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code, out, err = run_main([command, "--input", str(path)])
+    assert_outcome(code, out, err)
+    if code == 0:
+        strict_json(out)
+
+
+COMMANDS = [
+    ["decompose", "--input", "state.json"],
+    ["measure", "--input", "state.json"],
+    ["classify", "--input", "state.json"],
+    ["family", "--family", "ghz", "--set", "parties=3"],
+    ["sweep", "--family", "rashid", "--param", "theta=0:1:3", "--outputs", "ec,ph,xi"],
+]
+# no "/" or NUL: any token taken as --output names a file in the working directory
+TOKENS = st.sampled_from([
+    "decompose", "measure", "classify", "family", "sweep", "--input", "--output", "--family", "--set",
+    "--param", "--outputs", "-h", "--help", "-", "state.json", "missing.json", "bell", "rashid", "ghz",
+    "cc-mixture", "generalized-werner", "tripartite-qutrit-e3", "which=psi-", "theta=0.5", "theta=0:1:3",
+    "p=0:1:2", "parties=3:4:2", "level=2:2:1", "parties=3.5", "ec", "ec,ph,xi", "ed", "concurrence",
+]) | st.text(st.characters(blacklist_characters="/\x00"), max_size=8)
+
+
+@st.composite
+def argv_lists(draw):
+    """A working command line after up to three random edits, or random tokens."""
+    if draw(st.booleans()):
+        return draw(st.lists(TOKENS, max_size=8))
+    argv = list(draw(st.sampled_from(COMMANDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(argv)))
+        edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if edit == "insert" or i == len(argv):
+            argv.insert(i, draw(TOKENS))
+        elif edit == "replace":
+            argv[i] = draw(TOKENS)
+        else:
+            del argv[i]
+    return argv
+
+
+# the working directory is the same for every example, so monkeypatch may be shared
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argv_lists())
+def test_hypothesis_argv_never_raises(argv, tmp_path_factory, monkeypatch):
+    workdir = tmp_path_factory.getbasetemp() / "hypothesis-argv"
+    workdir.mkdir(exist_ok=True)
+    monkeypatch.chdir(workdir)
+    with open("state.json", "w", encoding="utf-8") as fh:
+        json.dump({"family": "rashid", "params": {"theta": 0.25}}, fh)
+    assert_outcome(*run_main(argv))

@@ -255,6 +255,39 @@ class TestMeasureSet:
         with pytest.raises(ValueError, match="party structure"):
             measure_set(rand_state((2, 2, 3), rng))
 
+    def test_nan_purity_is_not_pure(self):
+        # an unvalidated NaN matrix: the pure-state measures refuse it, as a mixed state
+        mat = np.eye(4) / 4
+        mat[0, 0] = np.nan
+        with pytest.raises(MixedStateError):
+            concurrence_pure(DensityMatrix((2, 2), mat))
+        ms = measure_set(DensityMatrix((2, 2), mat))
+        assert ms.concurrence is None and ms.entropy_bits is None
+
+    @pytest.mark.parametrize("dims", [(2,), (3, 3, 3, 3), (2, 2, 2, 2, 2)])
+    def test_shapes_without_measures(self, dims):
+        d = int(np.prod(dims))
+        with pytest.raises(ValueError, match=r"no measures defined for party structure \(" + str(dims[0])):
+            measure_set(DensityMatrix(dims, np.eye(d) / d))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2)])
+    @pytest.mark.parametrize("rank", ["pure", "mixed"])
+    def test_equals_the_scalar_measures(self, dims, rank, rng):
+        # bit for bit: the same sums of squares in the same order
+        d = int(np.prod(dims))
+        rho = DensityMatrix(dims, random_density_mat(d, rng, rank=1 if rank == "pure" else d))
+        dec = decompose(rho)
+        bipartite, pure = len(dims) == 2, rank == "pure"
+        want = {
+            "e_c": e_c_bipartite(dec.pair(0, 1), dims) if bipartite else e_c_multipartite(dec),
+            "e_d": e_d(dec) if dims in ((2, 2, 2), (3, 3, 3)) else None,
+            "e_e": e_e(dec) if dims == (2, 2, 2, 2) else None,
+            "concurrence": concurrence_pure(rho) if bipartite and pure else None,
+            "entropy_bits": entanglement_entropy(rho) if bipartite and pure else None,
+        }
+        ms = measure_set(rho)
+        assert {key: getattr(ms, key) for key in want} == want
+
 
 def test_tripartite_qutrit_family_reaches_unit_e_d():
     assert e_d(decompose(tripartite_qutrit_e3(0.0, 0.0))) == pytest.approx(1.0, abs=1e-10)
