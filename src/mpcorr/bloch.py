@@ -12,19 +12,19 @@ running over the generators (m >= 1) and the other indices at 0 (identity):
     n_I      = T[.. i ..]                              (S = {I})
     C_ij     = T[.. i .. j ..]       - n_i n_j         (pairs)
     D_ijk    = T[.. i .. j .. k ..]  - n_i n_j n_k     (triples)
-    E_ijkl   = T[i j k l]            - n n n n         (four qubits)
+    E_ijkl   = T[i j k l]            - n n n n         (four parties)
 
-These are raw moments minus products of coherence vectors, not cumulants, so
-the slices are exact: a pair tensor of three or more parties equals the one
-taken on the two-party marginal.  T costs one mode product per party and no
-partial traces.
+and so on for every subset of two or more parties.  These are raw moments
+minus products of coherence vectors, not cumulants, so the slices are exact:
+a pair tensor of three or more parties equals the one taken on the two-party
+marginal.  T has exactly as many entries as rho, and costs one mode product
+per party and no partial traces.
 
 :func:`reconstruct` inverts the map.  It refills T from the vectors and
 tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
 A_{m_1} x ... with weight 1 for the identity and n_I / 2 for a generator of
 party I, from Tr(1) = n and Tr(G_i G_j) = 2 delta_ij.  On a correlation
-sector S this is the prefactor prod_{I in S} (n_I / 2).  The round-trip tests
-exercise it on every supported shape.
+sector S this is the prefactor prod_{I in S} (n_I / 2).
 """
 
 from dataclasses import dataclass
@@ -58,32 +58,46 @@ def _real_within(arr: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarra
 
 @dataclass(frozen=True)
 class BlochDecomposition:
-    """Coherence vectors plus pair/triple/quadruple correlation tensors.
+    """Coherence vectors plus the correlation tensor of every party subset.
 
-    ``coherence_vectors[I]`` has length n_I^2 - 1.  ``pair_correlations`` maps
-    each party pair (I, J), I < J, to its C matrix; ``triple_correlations``
-    maps party triples to D tensors (present for 3 and 4 parties);
-    ``quad_correlations`` is the E tensor (4 qubit parties only).
+    ``coherence_vectors[I]`` has length n_I^2 - 1.  ``correlations`` maps each
+    subset of two or more parties, as an increasing tuple, to its tensor.
+    ``pair_correlations`` (the C matrices), ``triple_correlations`` (the D
+    tensors, None below three parties) and ``quad_correlations`` (the E tensor
+    of a four-party state, else None) are read-only views of it.
     """
 
     dims: tuple[int, ...]
     coherence_vectors: tuple[np.ndarray, ...]
-    pair_correlations: Mapping[tuple[int, int], np.ndarray]
-    triple_correlations: Mapping[tuple[int, int, int], np.ndarray] | None = None
-    quad_correlations: np.ndarray | None = None
+    correlations: Mapping[tuple[int, ...], np.ndarray]
+
+    def _arity(self, k: int) -> Mapping[tuple[int, ...], np.ndarray]:
+        return MappingProxyType({s: c for s, c in self.correlations.items() if len(s) == k})
+
+    @property
+    def pair_correlations(self) -> Mapping[tuple[int, int], np.ndarray]:
+        return self._arity(2)
+
+    @property
+    def triple_correlations(self) -> Mapping[tuple[int, int, int], np.ndarray] | None:
+        return self._arity(3) if len(self.dims) >= 3 else None
+
+    @property
+    def quad_correlations(self) -> np.ndarray | None:
+        return self.correlations.get((0, 1, 2, 3)) if len(self.dims) == 4 else None
 
     def pair(self, i: int, j: int) -> np.ndarray:
         """C matrix for an (unordered) party pair, transposed as needed."""
         if i == j:
             raise ValueError("a correlation matrix needs two distinct parties")
         if i < j:
-            return self.pair_correlations[(i, j)]
-        return self.pair_correlations[(j, i)].T
+            return self.correlations[(i, j)]
+        return self.correlations[(j, i)].T
 
     def triple(self, i: int, j: int, k: int) -> np.ndarray:
-        if self.triple_correlations is None:
+        if len(self.dims) < 3:
             raise ValueError("no triple correlations in this decomposition")
-        return self.triple_correlations[tuple(sorted((i, j, k)))]
+        return self.correlations[tuple(sorted((i, j, k)))]
 
 
 @lru_cache(maxsize=None)
@@ -142,18 +156,18 @@ def _with_identity(vectors) -> list[np.ndarray]:
     return [np.concatenate(([1.0], np.asarray(v, dtype=float))) for v in vectors]
 
 
+def _require_parties(dims: tuple[int, ...]) -> None:
+    if len(dims) < 2:
+        raise ValueError(f"a decomposition needs at least two parties, got dims {dims}")
+
+
 def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     """Coherence vectors (a tuple of (B, n_I^2 - 1) arrays) and correlation
     tensors (a dict from each party subset of two or more to a (B, ...) array)
-    of a (B, d, d) stack of states; :func:`decompose` is the one-state case.
-    Supports 2 to 4 parties, of equal dimension for three, qubits for four."""
+    of a (B, d, d) stack of states of two or more parties; :func:`decompose`
+    is the one-state case."""
+    _require_parties(dims)
     n = len(dims)
-    if not 2 <= n <= 4:
-        raise ValueError(f"decomposition supports 2 to 4 parties, got {n}")
-    if n == 3 and len(set(dims)) != 1:
-        raise ValueError(f"tripartite decomposition requires equal party dimensions, got {dims}")
-    if n == 4 and dims != (2, 2, 2, 2):
-        raise ValueError(f"four-party decomposition supports qubits only, got dims {dims}")
     t = _real_within(_moments(dims, mats), "moment tensor")
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
     ones = np.ones((len(t), 1))
@@ -165,13 +179,11 @@ def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
 
 
 def decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherence vectors and correlation tensors of a 2-, 3- or 4-party state
-    (see :func:`decompose_stack` for the supported shapes)."""
+    """Coherence vectors and correlation tensors of a state of two or more
+    parties."""
     vectors, sectors = decompose_stack(rho.dims, rho.matrix[None])
-    sectors = {s: c[0] for s, c in sectors.items()}
-    pairs = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 2})
-    triples = MappingProxyType({s: c for s, c in sectors.items() if len(s) == 3}) if len(rho.dims) >= 3 else None
-    return BlochDecomposition(rho.dims, tuple(v[0] for v in vectors), pairs, triples, sectors.get((0, 1, 2, 3)))
+    return BlochDecomposition(rho.dims, tuple(v[0] for v in vectors),
+                              MappingProxyType({s: c[0] for s, c in sectors.items()}))
 
 
 def coherence_vector(rho: DensityMatrix, basis: GeneratorBasis | None = None) -> np.ndarray:
@@ -195,32 +207,18 @@ def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:
 
 def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
     """Coherence vectors, the three pairwise C matrices, and the D tensor of
-    a three-party state.
-
-    Parties must have equal dimension; the triple tensor is not defined here
-    for mixed-dimension systems.
-    """
+    a three-party state."""
     if rho.num_parties != 3:
         raise ValueError(f"expected 3 parties, got dims {rho.dims}")
     return decompose(rho)
 
 
 def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Full decomposition of a four-qubit state: coherence vectors, six pair
+    """Full decomposition of a four-party state: coherence vectors, six pair
     C matrices, four triple D tensors, and the four-party E tensor."""
     if rho.num_parties != 4:
         raise ValueError(f"expected 4 parties, got dims {rho.dims}")
     return decompose(rho)
-
-
-def _correlation_sectors(decomp: BlochDecomposition):
-    """(name, parties, tensor) for every correlation tensor present."""
-    for (i, j), c in decomp.pair_correlations.items():
-        yield f"C[{i},{j}]", (i, j), c
-    for trip, d in (decomp.triple_correlations or {}).items():
-        yield f"D{tuple(trip)}", tuple(trip), d
-    if decomp.quad_correlations is not None:
-        yield "E", (0, 1, 2, 3), decomp.quad_correlations
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
@@ -232,19 +230,18 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
     counts as zero.
     """
     dims = tuple(decomp.dims)
+    _require_parties(dims)
     n = len(dims)
-    if n < 2 or n > 4:
-        raise ValueError(f"reconstruction supports 2 to 4 parties, got {n}")
     shapes = [np.shape(v) for v in decomp.coherence_vectors]
     if shapes != [(d * d - 1,) for d in dims]:
         raise ValueError(f"coherence vectors have shapes {shapes}, expected lengths n^2 - 1 for dims {dims}")
     t = reduce(np.multiply.outer, _with_identity(decomp.coherence_vectors))
-    for name, parties, corr in _correlation_sectors(decomp):
-        if list(parties) != sorted(set(parties)) or parties[0] < 0 or parties[-1] >= n:
-            raise ValueError(f"{name} must name distinct parties of the {n} in increasing order")
+    for parties, corr in decomp.correlations.items():
+        if len(parties) < 2 or list(parties) != sorted(set(parties)) or parties[0] < 0 or parties[-1] >= n:
+            raise ValueError(f"correlation key {parties} must name 2+ distinct parties of the {n} in increasing order")
         corr = np.asarray(corr, dtype=float)
         want = tuple(dims[p] ** 2 - 1 for p in parties)
         if corr.shape != want:
-            raise ValueError(f"{name} has shape {corr.shape}, expected {want}")
+            raise ValueError(f"correlation tensor {parties} has shape {corr.shape}, expected {want}")
         t[_sector(n, parties)] += corr
     return DensityMatrix(dims, _from_moments(dims, t[None])[0])

@@ -14,12 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite
-from .density import DensityMatrix, partial_transpose, purity
+from .density import DensityMatrix, is_pure, partial_transpose
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
-PURE_PURITY_CUTOFF = 1.0 - 1e-8
 BLOCH_DEGENERACY_TOL = 1e-12
 
 # Multiplies party B's axis (identity, sigma_x, sigma_y, sigma_z) of a
@@ -197,8 +196,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
         invariants = ph_invariants(dec)
     except DegenerateBlochVectorsError:
         invariants = None
-    pure = purity(rho) >= PURE_PURITY_CUTOFF
-    if pure:
+    if is_pure(rho):
         category = Category.PURE_PRODUCT if spectrum.nsv_count == 0 else Category.PURE_ENTANGLED
     elif spectrum.nsv_count == 0:
         category = Category.UNCORRELATED

@@ -120,24 +120,22 @@ def _dump_json(obj) -> str:
 
 
 def decomposition_report(rho: DensityMatrix) -> dict:
+    """Vectors and tensors of a state of two to four parties; this format has
+    no key for the four-party sectors of a larger state."""
+    if rho.num_parties > 4:
+        raise ValueError(f"the decompose report covers at most four parties, got dims {list(rho.dims)}")
     dec = decompose(rho)
-    report = {
+
+    def keyed(sectors):
+        return None if sectors is None else {"-".join(map(str, s)): c.tolist() for s, c in sorted(sectors.items())}
+
+    return {
         "dims": list(rho.dims),
         "coherence_vectors": [v.tolist() for v in dec.coherence_vectors],
-        "pair_correlations": {
-            f"{i}-{j}": c.tolist() for (i, j), c in sorted(dec.pair_correlations.items())
-        },
-        "triple_correlations": None,
-        "quad_correlations": None,
+        "pair_correlations": keyed(dec.pair_correlations),
+        "triple_correlations": keyed(dec.triple_correlations),
+        "quad_correlations": None if dec.quad_correlations is None else dec.quad_correlations.tolist(),
     }
-    if dec.triple_correlations is not None:
-        report["triple_correlations"] = {
-            "-".join(map(str, trip)): d.tolist()
-            for trip, d in sorted(dec.triple_correlations.items())
-        }
-    if dec.quad_correlations is not None:
-        report["quad_correlations"] = dec.quad_correlations.tolist()
-    return report
 
 
 def _load(path: str) -> DensityMatrix:

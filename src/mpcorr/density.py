@@ -8,6 +8,7 @@ dense complex double precision; the intended scale is a handful of parties
 with total dimension up to a few hundred.
 """
 
+import operator
 import string
 from dataclasses import dataclass
 from math import prod
@@ -17,6 +18,7 @@ import numpy as np
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
+PURITY_TOL = 1e-8                   # pure iff Tr rho^2 >= 1 - PURITY_TOL
 
 
 class StateValidationError(ValueError):
@@ -47,6 +49,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _dims(dims) -> tuple[int, ...]:
+    try:                                # operator.index refuses 2.5, 2.0 and "2", which int() would take
+        return tuple(operator.index(d) for d in dims)
+    except TypeError as exc:
+        raise TypeError(f"dims must be a list of integers, got {dims!r}") from exc
+
+
 def _check_shape(dims: tuple[int, ...], matrix: np.ndarray) -> None:
     if len(dims) == 0 or any(d < 2 for d in dims):
         raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
@@ -70,7 +79,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
         _check_shape(self.dims, self.matrix)
 
@@ -93,7 +102,7 @@ class HermitianOperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "dims", _dims(self.dims))
         object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
         _check_shape(self.dims, self.matrix)
         herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -124,7 +133,7 @@ def pure_states(amplitudes) -> np.ndarray:
 def from_pure(amplitudes, dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (not necessarily normalized) state
     vector with the given subsystem dimensions."""
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     vec = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
     if vec.size != prod(dims):
         raise ValueError(f"amplitude vector length {vec.size} does not match dims {dims}")
@@ -140,7 +149,7 @@ def validate(matrix, dims) -> DensityMatrix:
     and FloatingPointError for entries so large (near 1e308) that a residual
     or an eigenvalue overflows.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = _dims(dims)
     mat = np.asarray(matrix, dtype=complex)
     _check_shape(dims, mat)
     _require_finite(mat, "matrix")
@@ -236,8 +245,8 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
 
 
-def is_pure(rho: DensityMatrix, tol: float = 1e-8) -> bool:
-    return purity(rho) >= 1.0 - tol
+def is_pure(rho: DensityMatrix) -> bool:
+    return purity(rho) >= 1.0 - PURITY_TOL
 
 
 # --- JSON state format -------------------------------------------------------
@@ -260,7 +269,7 @@ def state_from_json_dict(obj: dict) -> DensityMatrix:
         raise ValueError("state JSON must be an object")
     if "dims" not in obj:
         raise ValueError('state JSON is missing "dims"')
-    dims = tuple(int(d) for d in obj["dims"])
+    dims = _dims(obj["dims"])
     has_pure = "pure" in obj
     has_matrix = "matrix" in obj
     if has_pure == has_matrix:

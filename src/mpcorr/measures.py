@@ -13,9 +13,7 @@ from math import log2
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack
-from .density import DensityMatrix, partial_trace, purity
-
-PURITY_TOL = 1e-8
+from .density import DensityMatrix, is_pure, partial_trace, purity
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -90,9 +88,8 @@ def e_e(decomp: BlochDecomposition) -> float:
 
 
 def _require_pure(rho: DensityMatrix, what: str) -> None:
-    p = purity(rho)
-    if not p >= 1.0 - PURITY_TOL:
-        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {p:.9f})")
+    if not is_pure(rho):
+        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity(rho):.9f})")
 
 
 def concurrence_pure(rho: DensityMatrix) -> float:
@@ -111,7 +108,7 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
         raise ValueError(f"entanglement entropy needs a bipartite state, got dims {rho.dims}")
     _require_pure(rho, "entanglement entropy")
     mu = np.linalg.eigvalsh(partial_trace(rho, [0]).matrix).real
-    return float(-sum(m * log2(m) for m in mu if m > 1e-15))
+    return float(sum(-m * log2(m) for m in mu if m > 1e-15))      # +0.0, not -0.0, for a product
 
 
 def _sector_norm(parties: int, weight):
@@ -131,7 +128,7 @@ def _per_state(measure):
 # Concurrence and entropy go state by state and raise MixedStateError on a
 # mixed state.
 COLUMNS = {
-    "ec": ("a decomposable state",
+    "ec": ("two parties, three equal-dimension parties or four qubits",
            lambda dims: len(dims) == 2 or len(dims) == 3 and len(set(dims)) == 1 or dims == (2, 2, 2, 2),
            _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
     "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),

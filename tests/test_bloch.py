@@ -117,9 +117,10 @@ class TestTripartite:
         want = oracle_cumulant(rho.matrix, rho.dims, [PAULI] * 3)
         assert np.abs(dec.triple(0, 1, 2) - want).max() < 1e-12
 
-    def test_unequal_dims_rejected(self, rng):
-        with pytest.raises(ValueError, match="equal"):
-            decompose_tripartite(rand_state((2, 2, 3), rng))
+    def test_unequal_dims_match_oracle(self, rng):
+        rho = rand_state((2, 2, 3), rng)
+        want = oracle_cumulant(rho.matrix, rho.dims, [PAULI, PAULI, GELL_MANN])
+        assert np.abs(decompose_tripartite(rho).triple(0, 1, 2) - want).max() < 1e-12
 
     def test_party_count_enforced(self, rng):
         with pytest.raises(ValueError, match="3 parties"):
@@ -158,9 +159,10 @@ class TestQuadripartite:
         oracle = oracle_cumulant(rho.matrix, rho.dims, [PAULI] * 4)
         assert np.abs(e - oracle).max() < 1e-12
 
-    def test_non_qubits_rejected(self, rng):
-        with pytest.raises(ValueError, match="qubits"):
-            decompose_quadripartite(rand_state((2, 2, 2, 3), rng))
+    def test_non_qubits_match_oracle(self, rng):
+        rho = rand_state((2, 2, 2, 3), rng)
+        want = oracle_cumulant(rho.matrix, rho.dims, [PAULI] * 3 + [GELL_MANN])
+        assert np.abs(decompose_quadripartite(rho).quad_correlations - want).max() < 1e-12
 
 
 class TestReconstruct:
@@ -200,9 +202,8 @@ class TestReconstruct:
             reconstruct(dec)
 
     def test_quad_tensor_needs_four_parties(self):
-        dec = BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, {},
-                                 quad_correlations=np.zeros((3, 3, 3, 3)))
-        with pytest.raises(ValueError, match="E "):
+        dec = BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, {(0, 1, 2, 3): np.zeros((3, 3, 3, 3))})
+        with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\)"):
             reconstruct(dec)
 
 
@@ -240,11 +241,9 @@ def _hand_built(dims, rng, with_triples=True, with_quad=True):
         return rng.normal(size=tuple(dims[p] ** 2 - 1 for p in parties))
 
     n = len(dims)
-    return BlochDecomposition(
-        dims, tuple(rand(p) for p in range(n)),
-        {s: rand(*s) for s in combinations(range(n), 2)},
-        {s: rand(*s) for s in combinations(range(n), 3)} if n >= 3 and with_triples else None,
-        rand(0, 1, 2, 3) if n == 4 and with_quad else None)
+    arities = [2] + [3] * with_triples + [4] * with_quad
+    return BlochDecomposition(dims, tuple(rand(p) for p in range(n)),
+                              {s: rand(*s) for k in arities for s in combinations(range(n), k)})
 
 
 @pytest.mark.parametrize("dims, with_triples, with_quad", [
@@ -271,7 +270,7 @@ def test_non_hermitian_input_reports_imaginary_residue():
         decompose(DensityMatrix((2, 2), mat))
 
 
-SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
+SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3)]
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -282,7 +281,7 @@ def test_roundtrip_random_states(dims, rng):
         assert np.abs(again.matrix - rho.matrix).max() < 1e-12
 
 
-@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3), (2, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3)])
 def test_sub_tensors_match_marginal_oracle(dims, rng):
     # the engine slices one moment tensor; the oracle decomposes marginals
     rho = rand_state(dims, rng)
@@ -296,6 +295,34 @@ def test_sub_tensors_match_marginal_oracle(dims, rng):
             sub = tuple(dims[p] for p in parties)
             want = oracle_cumulant(marginal, sub, [bases[p] for p in parties])
             assert np.abs(_correlation_of(dec, parties) - want).max() < 1e-12
+
+
+def test_five_qubits_match_marginal_oracle(rng):
+    # beyond four parties, every sector is a key of the one correlations mapping
+    dims = (2,) * 5
+    rho = rand_state(dims, rng)
+    dec = decompose(rho)
+    for p, vec in enumerate(oracle_vectors(rho.matrix, dims, [PAULI] * 5)):
+        assert np.abs(dec.coherence_vectors[p] - vec).max() < 1e-12
+    subsets = [s for size in range(2, 6) for s in combinations(range(5), size)]
+    assert sorted(dec.correlations) == sorted(subsets)
+    for parties in subsets:
+        marginal = oracle_ptrace(rho.matrix, dims, parties)
+        want = oracle_cumulant(marginal, (2,) * len(parties), [PAULI] * len(parties))
+        assert np.abs(dec.correlations[parties] - want).max() < 1e-12
+    assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < 1e-12
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (2,) * 6])
+def test_pair_sectors_of_larger_shapes_match_marginals(dims, rng):
+    # the oracle basis stops at n = 3, so (2, 3, 4) is checked against the
+    # two-party decompositions of the oracle's marginals
+    rho = rand_state(dims, rng)
+    dec = decompose(rho)
+    assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < 1e-12
+    for pair in combinations(range(len(dims)), 2):
+        marginal = DensityMatrix(tuple(dims[p] for p in pair), oracle_ptrace(rho.matrix, dims, pair))
+        assert np.abs(dec.correlations[pair] - decompose(marginal).pair(0, 1)).max() < 1e-12
 
 
 @pytest.mark.parametrize("dims", SHAPES)
@@ -349,7 +376,7 @@ def test_decompose_dispatch(rng):
     assert decompose(rand_state((2, 2), rng)).dims == (2, 2)
     assert decompose(rand_state((2, 2, 2), rng)).triple_correlations is not None
     assert decompose(rand_state((2, 2, 2, 2), rng)).quad_correlations is not None
-    with pytest.raises(ValueError, match="2 to 4"):
+    with pytest.raises(ValueError, match="at least two parties"):
         decompose(rand_state((2,), rng))
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_density_mat
+from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 
 from mpcorr import families
 from mpcorr.bloch import decompose, decompose_stack
@@ -85,6 +85,25 @@ class TestDecompose:
         code, _, _ = run_cli(["decompose", "--input", path], capsys)
         assert code == 3
 
+    def test_mixed_dimension_triple_matches_oracle(self, tmp_path, capsys, rng):
+        mat = random_density_mat(12, rng)
+        path = write_json(tmp_path / "223.json", {
+            "dims": [2, 2, 3], "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in mat]})
+        code, out, _ = run_cli(["decompose", "--input", path], capsys)
+        assert code == 0
+        want = oracle_cumulant(mat, (2, 2, 3), [PAULI, PAULI, GELL_MANN])
+        assert np.abs(np.array(json.loads(out)["triple_correlations"]["0-1-2"]) - want).max() < 1e-12
+
+    def test_five_parties_exit_3(self, tmp_path, capsys):
+        # the report has no key for the 4-party sectors of a 5-party state
+        path = write_json(tmp_path / "ghz5.json", {"dims": [2] * 5, "pure": [[1, 0]] + [[0, 0]] * 30 + [[1, 0]]})
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(["decompose", "--input", path, "--output", str(out)], capsys)
+        assert code == 3
+        assert one_error_line(stdout, err)
+        assert "at most four parties" in err
+        assert not out.exists()
+
     def test_family_spec_accepted_as_input(self, tmp_path, capsys):
         path = write_json(tmp_path / "fam.json",
                           {"family": "bell", "params": {"which": "psi-"}})
@@ -129,6 +148,20 @@ class TestMeasure:
         assert code == 1
         assert "NaN" not in out and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_product_entropy_is_positive_zero(self, tmp_path, capsys):
+        path = write_json(tmp_path / "00.json", {"dims": [2, 2], "pure": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+        code, out, _ = run_cli(["measure", "--input", path], capsys)
+        assert code == 0
+        assert '"entropy_bits": 0.0' in out and "-0.0" not in out
+
+    @pytest.mark.parametrize("dims", ["22", [2.5, 2], [2.0, 2]])
+    def test_non_integer_dims_exit_1(self, dims, tmp_path, capsys):
+        path = write_json(tmp_path / "dims.json", {"dims": dims, "pure": [[1, 0], [0, 0], [0, 0], [0, 0]]})
+        code, out, err = run_cli(["measure", "--input", path], capsys)
+        assert code == 1
+        assert one_error_line(out, err)
+        assert "dims" in err
 
     def test_unsupported_structure_exit_3(self, tmp_path, capsys):
         mat = np.eye(12) / 12
@@ -688,7 +721,7 @@ JSON_VALUES = st.recursive(st.none() | st.booleans() | NUMBERS | st.text(max_siz
                            lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                                        max_size=3),
                            max_leaves=12)
-SHAPES = [[2], [2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2]]
+SHAPES = [[2], [2, 2], [2, 3], [3, 3], [2, 2, 2], [2, 2, 2, 2], [2, 2, 3], [2, 2, 2, 2, 2]]
 PARAM_NAMES = ["which", "theta", "terms", "p", "parties", "level", "theta1", "theta2"]
 
 

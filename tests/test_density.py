@@ -253,6 +253,18 @@ class TestJson:
             state_from_json_dict(obj)
 
 
+@pytest.mark.parametrize("build", [
+    lambda dims: DensityMatrix(dims, np.eye(4) / 4),
+    lambda dims: from_pure([1, 0, 0, 0], dims),
+    lambda dims: validate(np.eye(4) / 4, dims),
+], ids=["DensityMatrix", "from_pure", "validate"])
+def test_float_dims_rejected(build):
+    # int() would truncate 2.5 to 2
+    with pytest.raises(TypeError, match="dims must be a list of integers"):
+        build((2.5, 2))
+    assert build((np.int64(2), 2)).dims == (2, 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(-1, 1), min_size=8, max_size=8),
        st.lists(st.floats(-1, 1), min_size=8, max_size=8))

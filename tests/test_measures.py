@@ -166,6 +166,11 @@ class TestEntropy:
         rho = from_pure(np.kron(random_pure_vec(2, rng), random_pure_vec(3, rng)), (2, 3))
         assert entanglement_entropy(rho) == pytest.approx(0.0, abs=1e-9)
 
+    def test_basis_product_is_positive_zero(self):
+        # the one eigenvalue 1 contributes -1 * log2(1) = -0.0
+        value = entanglement_entropy(from_pure([1, 0, 0, 0], (2, 2)))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
     def test_rashid_binary_entropy(self):
         theta = 0.5
         want = binary_entropy((1 - math.tanh(2 * theta)) / 2)

@@ -13,8 +13,8 @@ import pytest
 
 from mpcorr import classify
 from mpcorr.bloch import decompose, decompose_stack
-from mpcorr.classify import (DegenerateBlochVectorsError, correlation_spectrum, ph_condition_explicit,
-                             ph_invariants, ph_test)
+from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
+                             ph_condition_explicit, ph_invariants, ph_test)
 from mpcorr.density import DensityMatrix, NotHermitianError, NotPSDError, TraceNotOneError, validate
 from mpcorr.exchange import NullProjectionError, project_exchange
 from mpcorr.families import generalized_werner
@@ -22,11 +22,11 @@ from mpcorr.measures import measure_set
 
 HERMITICITY_TOL = TRACE_TOL = 1e-12     # density
 PSD_TOL = 1e-10
+PURITY_TOL = 1e-8
 NSV_ABS_FLOOR = 1e-12                   # classify
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 BLOCH_DEGENERACY_TOL = 1e-12
-PURITY_TOL = 1e-8                       # measures
 IMAG_TOL = 1e-12                        # bloch
 NULL_PROJECTION_TOL = 1e-12             # exchange
 
@@ -128,10 +128,14 @@ def test_purity(factor, crossed):
     # diag(1 - t, 0, 0, t) has 1 - Tr rho^2 = 2t - 2t^2
     eps = factor * PURITY_TOL
     t = (1 - math.sqrt(1 - 2 * eps)) / 2
-    ms = measure_set(DensityMatrix((2, 2), np.diag([1 - t, 0.0, 0.0, t])))
+    rho = DensityMatrix((2, 2), np.diag([1 - t, 0.0, 0.0, t]))
+    ms = measure_set(rho)
     assert ms.e_c is not None
     assert (ms.concurrence is None) == crossed
     assert (ms.entropy_bits is None) == crossed
+    # classify: correlated (NSV 1), so pure entangled inside and classically correlated outside
+    assert classify_two_qubit(rho).category == (Category.CLASSICALLY_CORRELATED if crossed else
+                                                Category.PURE_ENTANGLED)
 
 
 @SIDES
