@@ -36,7 +36,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import DensityMatrix
+from .density import DensityMatrix, _require_finite
 from .su_basis import GeneratorBasis, gell_mann_basis
 
 IMAG_TOL = 1e-12
@@ -64,12 +64,17 @@ class BlochDecomposition:
     subset of two or more parties, as an increasing tuple, to its tensor.
     ``pair_correlations`` (the C matrices), ``triple_correlations`` (the D
     tensors, None below three parties) and ``quad_correlations`` (the E tensor
-    of a four-party state, else None) are read-only views of it.
+    of a four-party state, else None) are read-only views of it.  A NaN or
+    infinite entry raises ValueError.
     """
 
     dims: tuple[int, ...]
     coherence_vectors: tuple[np.ndarray, ...]
     correlations: Mapping[tuple[int, ...], np.ndarray]
+
+    def __post_init__(self):
+        parts = (*self.coherence_vectors, *self.correlations.values())
+        _require_finite(np.concatenate([np.zeros(0), *map(np.ravel, parts)]), "decomposition")
 
     def _arity(self, k: int) -> Mapping[tuple[int, ...], np.ndarray]:
         return MappingProxyType({s: c for s, c in self.correlations.items() if len(s) == k})

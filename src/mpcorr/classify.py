@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite
-from .density import DensityMatrix, is_pure, partial_transpose
+from .density import DensityMatrix, HermitianOperator, _require_finite, is_pure
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
@@ -89,30 +89,49 @@ class ClassificationReport:
     invariants: PHInvariants | None
 
 
-def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
-    """SVD-based spectrum of a real correlation matrix.
+def _spectrum(c: np.ndarray):
+    """Singular values, NSV threshold max(1e-12, 1e-9 * largest singular
+    value) and NSV count of one correlation matrix or of a (B, ...) stack."""
+    sv = np.linalg.svd(c, compute_uv=False)
+    threshold = np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv.max(axis=-1, initial=0.0))
+    return sv, threshold, (sv > threshold[..., None]).sum(axis=-1)
 
-    The NSV threshold is relative, max(1e-12, 1e-9 * largest singular value),
-    so weakly correlated states are counted on their own scale.
-    """
+
+def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
+    """Least eigenvalue of the partial transpose on the second party of one
+    (d, d) bipartite state or of a (B, d, d) stack."""
+    pt = mats.reshape(mats.shape[:-2] + dims + dims).swapaxes(-3, -1).reshape(mats.shape)
+    return np.linalg.eigvalsh(pt).min(axis=-1)
+
+
+def _invariants(vectors, sectors):
+    """xi, n_A . n_B and n_A . C . n_B of one two-qubit state's vectors and
+    tensors, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12."""
+    (na, nb), c = vectors, sectors[(0, 1)]
+    na_nb = (na * nb).sum(axis=-1)
+    na_c_nb = np.einsum("...i,...ij,...j->...", na, c, nb)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.trace(c, axis1=-2, axis2=-1) - na_c_nb / na_nb
+    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb
+
+
+def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
+    """SVD-based spectrum of a real correlation matrix; the NSV threshold is
+    relative (see :func:`_spectrum`), so weakly correlated states are counted
+    on their own scale."""
     c = np.asarray(c, dtype=float)
     if c.ndim != 2:
         raise ValueError(f"correlation matrix must be 2-D, got shape {c.shape}")
-    sv = np.linalg.svd(c, compute_uv=False)
-    dmax = float(sv[0]) if sv.size else 0.0
-    threshold = max(NSV_ABS_FLOOR, NSV_REL_FACTOR * dmax)
+    _require_finite(c, "correlation matrix")
+    sv, threshold, count = _spectrum(c)
     eig = None
     if c.shape[0] == c.shape[1]:
         eig = np.linalg.eigvals(c)
         eig = eig[np.argsort(-eig.real)]
         eig.setflags(write=False)
     sv.setflags(write=False)
-    return CorrelationSpectrum(
-        singular_values=sv,
-        eigenvalues=eig,
-        nsv_count=int((sv > threshold).sum()),
-        threshold_used=threshold,
-    )
+    return CorrelationSpectrum(singular_values=sv, eigenvalues=eig, nsv_count=int(count),
+                               threshold_used=float(threshold))
 
 
 def ph_test(rho: DensityMatrix) -> PHVerdict:
@@ -120,8 +139,8 @@ def ph_test(rho: DensityMatrix) -> PHVerdict:
     a negative eigenvalue."""
     if rho.num_parties != 2:
         raise ValueError(f"PH test needs a bipartite state, got dims {rho.dims}")
-    pt = partial_transpose(rho, 1)
-    min_eig = float(np.linalg.eigvalsh(pt.matrix).min())
+    HermitianOperator(rho.dims, rho.matrix)     # NotHermitianError for a hand-built non-Hermitian matrix
+    min_eig = float(_pt_min(rho.dims, rho.matrix))
     entangled = min_eig < -PT_NEGATIVITY_TOL
     conclusive = entangled or sorted(rho.dims) in ([2, 2], [2, 3])
     return PHVerdict(min_eigenvalue=min_eig, entangled=entangled, conclusive=conclusive)
@@ -151,15 +170,11 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
     """
     if decomp.dims != (2, 2):
         raise ValueError(f"PH invariants are defined for two qubits, got dims {decomp.dims}")
-    na, nb = decomp.coherence_vectors
-    c = decomp.pair(0, 1)
-    na_nb = float(np.dot(na, nb))
-    na_c_nb = float(na @ c @ nb)
-    if abs(na_nb) <= BLOCH_DEGENERACY_TOL:
+    xi, na_nb, na_c_nb = _invariants(decomp.coherence_vectors, decomp.correlations)
+    if np.isnan(xi):
         raise DegenerateBlochVectorsError(
             f"n_A . n_B = {na_nb:.3e}; xi is undefined for (near-)orthogonal Bloch vectors")
-    xi = float(np.trace(c)) - na_c_nb / na_nb
-    return PHInvariants(xi=xi, na_dot_nb=na_nb, na_dot_c_nb=na_c_nb)
+    return PHInvariants(xi=float(xi), na_dot_nb=float(na_nb), na_dot_c_nb=float(na_c_nb))
 
 
 def ph_condition_explicit(inv: PHInvariants) -> bool:
@@ -169,8 +184,9 @@ def ph_condition_explicit(inv: PHInvariants) -> bool:
 
     Boundary states (value within 1e-10 of 1) are reported entangled here
     while the spectral test sees a zero eigenvalue as separable; off the
-    boundary the two agree.
+    boundary the two agree.  A NaN or infinite invariant raises ValueError.
     """
+    _require_finite(np.array([inv.xi, inv.na_dot_nb, inv.na_dot_c_nb]), "PH invariants")
     disc = inv.xi * inv.xi - 4.0 * inv.na_dot_nb
     if disc < 0:
         raise ValueError(f"negative discriminant {disc:.3e}; PH condition undefined")
@@ -190,58 +206,33 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits only, got dims {rho.dims}")
     dec = decompose_bipartite(rho)
-    spectrum = correlation_spectrum(dec.pair(0, 1))
+    nsv_count = int(_spectrum(dec.pair(0, 1))[2])
     verdict = ph_test(rho)
-    try:
-        invariants = ph_invariants(dec)
-    except DegenerateBlochVectorsError:
-        invariants = None
+    xi, na_nb, na_c_nb = _invariants(dec.coherence_vectors, dec.correlations)
+    invariants = None if np.isnan(xi) else PHInvariants(float(xi), float(na_nb), float(na_c_nb))
     if is_pure(rho):
-        category = Category.PURE_PRODUCT if spectrum.nsv_count == 0 else Category.PURE_ENTANGLED
-    elif spectrum.nsv_count == 0:
+        category = Category.PURE_PRODUCT if nsv_count == 0 else Category.PURE_ENTANGLED
+    elif nsv_count == 0:
         category = Category.UNCORRELATED
     elif verdict.entangled:
         category = Category.MIXED_ENTANGLED
     else:
         category = Category.CLASSICALLY_CORRELATED
-    return ClassificationReport(
-        category=category,
-        nsv_count=spectrum.nsv_count,
-        ph_entangled=verdict.entangled,
-        min_pt_eigenvalue=verdict.min_eigenvalue,
-        invariants=invariants,
-    )
-
-
-def _ph(dims, mats, vectors, sectors):
-    # 1 where the partial transpose on the second party has a negative eigenvalue
-    pt = mats.reshape((len(mats),) + dims + dims).swapaxes(2, 4).reshape(mats.shape)
-    return (np.linalg.eigvalsh(pt).min(axis=1) < -PT_NEGATIVITY_TOL).astype(int)
-
-
-def _nsv(dims, mats, vectors, sectors):
-    sv = np.linalg.svd(sectors[(0, 1)], compute_uv=False)
-    return (sv > np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv[:, :1])).sum(axis=1)
-
-
-def _nanb(dims, mats, vectors, sectors):
-    return (vectors[0] * vectors[1]).sum(axis=1)
-
-
-def _xi(dims, mats, vectors, sectors):
-    (na, nb), c = vectors, sectors[(0, 1)]
-    na_nb = _nanb(dims, mats, vectors, sectors)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.trace(c, axis1=1, axis2=2) - np.einsum("bi,bij,bj->b", na, c, nb) / na_nb
-    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi)
+    return ClassificationReport(category=category, nsv_count=nsv_count, ph_entangled=verdict.entangled,
+                                min_pt_eigenvalue=verdict.min_eigenvalue, invariants=invariants)
 
 
 # The classification quantities as columns, in the form of
 # measures.COLUMNS: the NSV count, the PH verdict (0/1), and the two-qubit
-# invariants, xi being NaN where n_A . n_B degenerates.
+# invariants, xi being NaN where n_A . n_B degenerates.  Each column is its
+# helper above, applied to the whole stack.
 COLUMNS = {
-    "nsv": ("a bipartite state", lambda dims: len(dims) == 2, _nsv),
-    "ph": ("a bipartite state", lambda dims: len(dims) == 2, _ph),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), _xi),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), _nanb),
+    "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
+            lambda dims, mats, vectors, sectors: _spectrum(sectors[(0, 1)])[2]),
+    "ph": ("a bipartite state", lambda dims: len(dims) == 2,
+           lambda dims, mats, vectors, sectors: (_pt_min(dims, mats) < -PT_NEGATIVITY_TOL).astype(int)),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2),
+           lambda dims, mats, vectors, sectors: _invariants(vectors, sectors)[0]),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2),
+             lambda dims, mats, vectors, sectors: _invariants(vectors, sectors)[1]),
 }

@@ -13,7 +13,7 @@ from math import log2
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack
-from .density import DensityMatrix, is_pure, partial_trace, purity
+from .density import DensityMatrix, _dims, _require_finite, is_pure, partial_trace, purity
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -42,12 +42,13 @@ def _pair_weight(n: int, m: int) -> float:
 
 def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
     """Bipartite correlation measure K * Tr(C C^T) for an n x m system."""
-    n, m = (int(d) for d in dims)
+    n, m = _dims(dims)
     c = np.asarray(c, dtype=float)
     want = (n * n - 1, m * m - 1)
     if c.shape != want:
         raise ValueError(f"C has shape {c.shape}, expected {want} for dims {dims}")
-    return _pair_weight(n, m) * float((c * c).sum())
+    _require_finite(c, "C")
+    return _norm("ec", (n, m), {(0, 1): c})
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:
@@ -62,8 +63,7 @@ def e_c_multipartite(decomp: BlochDecomposition) -> float:
         raise ValueError(f"multipartite measure needs >= 3 parties, got dims {dims}")
     if len(set(dims)) != 1:
         raise ValueError(f"multipartite measure requires equal party dimensions, got {dims}")
-    w = _pair_weight(dims[0], dims[0])
-    return w * float(sum((np.asarray(c) ** 2).sum() for c in decomp.pair_correlations.values()))
+    return _norm("ec", dims, decomp.correlations)
 
 
 def e_d(decomp: BlochDecomposition) -> float:
@@ -73,8 +73,7 @@ def e_d(decomp: BlochDecomposition) -> float:
         raise ValueError(f"tripartite measure needs exactly 3 parties, got dims {dims}")
     if len(set(dims)) != 1 or dims[0] not in TRIPLE_WEIGHTS:
         raise ValueError(f"tripartite measure supports (2,2,2) and (3,3,3), got {dims}")
-    d = np.asarray(decomp.triple(0, 1, 2), dtype=float)
-    return TRIPLE_WEIGHTS[dims[0]] * float((d * d).sum())
+    return _norm("ed", dims, decomp.correlations)
 
 
 def e_e(decomp: BlochDecomposition) -> float:
@@ -83,8 +82,7 @@ def e_e(decomp: BlochDecomposition) -> float:
         raise ValueError(f"four-party measure supports four qubits only, got dims {decomp.dims}")
     if decomp.quad_correlations is None:
         raise ValueError("decomposition carries no four-party tensor")
-    e = np.asarray(decomp.quad_correlations, dtype=float)
-    return QUAD_WEIGHT * float((e * e).sum())
+    return _norm("ee", decomp.dims, decomp.correlations)
 
 
 def _require_pure(rho: DensityMatrix, what: str) -> None:
@@ -113,9 +111,16 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 
 def _sector_norm(parties: int, weight):
     """weight(dims) times the summed squares of the correlation tensors on
-    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee."""
+    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee.  Each
+    tensor is summed over its last ``parties`` axes, so ``sectors`` may hold
+    one state's tensors or (B, ...) stacks."""
     return lambda dims, mats, vectors, sectors: weight(dims) * sum(
-        (c * c).sum(axis=tuple(range(1, c.ndim))) for s, c in sectors.items() if len(s) == parties)
+        np.square(c).sum(axis=tuple(range(-parties, 0))) for s, c in sectors.items() if len(s) == parties)
+
+
+def _norm(name: str, dims: tuple[int, ...], sectors) -> float:
+    """The ``name`` sector-norm column on one state's correlation tensors."""
+    return float(COLUMNS[name][2](dims, None, None, sectors))
 
 
 def _per_state(measure):
@@ -124,9 +129,11 @@ def _per_state(measure):
 
 # The measures as columns: name -> (what it needs, test on dims, column
 # function).  A column function maps a (B, d, d) stack, its coherence vectors
-# and its correlation tensors (see bloch.decompose_stack) to B values.
-# Concurrence and entropy go state by state and raise MixedStateError on a
-# mixed state.
+# and its correlation tensors (see bloch.decompose_stack) to B values.  The
+# sector norms ec, ed and ee are the only code for E_C, E_D and E_E: the e_*
+# functions check their input and call them on one state's tensors.
+# Concurrence and entropy go state by state, through the scalar functions, and
+# raise MixedStateError on a mixed state.
 COLUMNS = {
     "ec": ("two parties, three equal-dimension parties or four qubits",
            lambda dims: len(dims) == 2 or len(dims) == 3 and len(set(dims)) == 1 or dims == (2, 2, 2, 2),

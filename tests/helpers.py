@@ -58,6 +58,21 @@ def oracle_ptrace(mat, dims, keep):
     return t.reshape(d, d)
 
 
+def oracle_ptranspose(mat, dims, party):
+    """Partial transpose of one party by a loop over the matrix entries: the
+    entry at (row, col) moves to the multi-indices with that party's row and
+    column index exchanged."""
+    index = list(product(*(range(d) for d in dims)))    # row-major, as np.kron orders
+    position = {multi: k for k, multi in enumerate(index)}
+    out = np.empty_like(mat)
+    for r, row in enumerate(index):
+        for c, col in enumerate(index):
+            row_t, col_t = list(row), list(col)
+            row_t[party], col_t[party] = col[party], row[party]
+            out[position[tuple(row_t)], position[tuple(col_t)]] = mat[r, c]
+    return out
+
+
 def oracle_coherence(mat, basis):
     return np.array([oracle_expect(mat, g).real for g in basis])
 

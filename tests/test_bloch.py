@@ -207,6 +207,32 @@ class TestReconstruct:
             reconstruct(dec)
 
 
+class TestNonFiniteDecomposition:
+    """A hand-built decomposition with a NaN or infinite entry is refused when
+    it is built, so reconstruct, the measures and the PH invariants never see
+    it."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_coherence_vector(self, bad):
+        with pytest.raises(ValueError, match="decomposition has a non-finite"):
+            BlochDecomposition((2, 2), (np.zeros(3), np.array([0.0, bad, 0.0])), {(0, 1): np.zeros((3, 3))})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pair_tensor(self, bad):
+        c = np.zeros((3, 3))
+        c[1, 2] = bad
+        with pytest.raises(ValueError, match="decomposition has a non-finite"):
+            BlochDecomposition((2, 2), (np.zeros(3), np.zeros(3)), {(0, 1): c})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_triple_tensor(self, bad):
+        d = np.zeros((3, 3, 3))
+        d[0, 1, 2] = bad
+        sectors = {(0, 1): np.zeros((3, 3)), (0, 1, 2): d}
+        with pytest.raises(ValueError, match="decomposition has a non-finite"):
+            BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, sectors)
+
+
 def _correlation_of(dec, parties):
     if len(parties) == 2:
         return dec.pair_correlations.get(parties)

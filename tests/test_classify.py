@@ -13,7 +13,7 @@ from mpcorr.classify import (Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
                              correlation_spectrum, ph_condition_explicit,
                              ph_invariants, ph_test, ph_test_signflip)
-from mpcorr.density import DensityMatrix, from_pure, mix, tensor
+from mpcorr.density import DensityMatrix, NotHermitianError, from_pure, mix, tensor
 from mpcorr.families import bell, cc_mixture, generalized_werner
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -67,6 +67,13 @@ class TestCorrelationSpectrum:
         assert spec.eigenvalues is None
         assert spec.singular_values.shape == (3,)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        c = np.eye(3)
+        c[2, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            correlation_spectrum(c)
+
 
 class TestPHTest:
     def test_singlet(self):
@@ -92,6 +99,12 @@ class TestPHTest:
     def test_qubit_qutrit_is_conclusive(self, rng):
         rho = tensor(rand_state((2,), rng), rand_state((3,), rng))
         assert ph_test(rho).conclusive
+
+    def test_non_hermitian_matrix_rejected(self):
+        mat = np.eye(4, dtype=complex) / 4
+        mat[0, 1] = 0.1
+        with pytest.raises(NotHermitianError, match="not Hermitian"):
+            ph_test(DensityMatrix((2, 2), mat))
 
     def test_party_count_enforced(self, rng):
         with pytest.raises(ValueError, match="bipartite"):
@@ -192,6 +205,13 @@ class TestPHExplicit:
     def test_negative_discriminant_rejected(self):
         with pytest.raises(ValueError, match="discriminant"):
             ph_condition_explicit(PHInvariants(xi=0.1, na_dot_nb=1.0, na_dot_c_nb=0.0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["xi", "na_dot_nb", "na_dot_c_nb"])
+    def test_non_finite_invariant_rejected(self, field, bad):
+        inv = PHInvariants(**{"xi": -2.0, "na_dot_nb": 0.1, "na_dot_c_nb": 0.0, field: bad})
+        with pytest.raises(ValueError, match="non-finite"):
+            ph_condition_explicit(inv)
 
 
 class TestClassify:

@@ -303,3 +303,17 @@ def test_werner_e_c_direct_value():
     dec = decompose_bipartite(generalized_werner(0.5, 0.0))
     assert (dec.pair(0, 1) ** 2).sum() == pytest.approx(0.75, abs=1e-12)
     assert e_c_bipartite(dec.pair(0, 1), (2, 2)) == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2.9, 2), ("2", "2"), (2.0, 2)])
+def test_e_c_bipartite_rejects_non_integer_dims(dims):
+    with pytest.raises(TypeError, match="dims must be a list of integers"):
+        e_c_bipartite(0.5 * np.eye(3), dims)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_e_c_bipartite_rejects_non_finite_entry(bad):
+    c = np.zeros((3, 3))
+    c[0, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        e_c_bipartite(c, (2, 2))
