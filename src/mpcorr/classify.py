@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite
+from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite, require_column
 from .density import DensityMatrix, HermitianOperator, _require_finite, is_pure
 
 NSV_ABS_FLOOR = 1e-12
@@ -137,8 +137,7 @@ def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
 def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
-    if rho.num_parties != 2:
-        raise ValueError(f"PH test needs a bipartite state, got dims {rho.dims}")
+    require_column(COLUMNS, "ph", rho.dims)
     HermitianOperator(rho.dims, rho.matrix)     # NotHermitianError for a hand-built non-Hermitian matrix
     min_eig = float(_pt_min(rho.dims, rho.matrix))
     entangled = min_eig < -PT_NEGATIVITY_TOL
@@ -168,8 +167,7 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
 
     Undefined (raises DegenerateBlochVectorsError) when |n_A . n_B| <= 1e-12.
     """
-    if decomp.dims != (2, 2):
-        raise ValueError(f"PH invariants are defined for two qubits, got dims {decomp.dims}")
+    require_column(COLUMNS, "xi", decomp.dims)
     xi, na_nb, na_c_nb = _invariants(decomp.coherence_vectors, decomp.correlations)
     if np.isnan(xi):
         raise DegenerateBlochVectorsError(
@@ -204,7 +202,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     sign.  ``invariants`` is None when n_A . n_B degenerates.
     """
     if rho.dims != (2, 2):
-        raise ValueError(f"classification supports two qubits only, got dims {rho.dims}")
+        raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
     dec = decompose_bipartite(rho)
     nsv_count = int(_spectrum(dec.pair(0, 1))[2])
     verdict = ph_test(rho)

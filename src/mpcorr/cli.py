@@ -34,7 +34,7 @@ from math import prod
 import numpy as np
 
 from . import classify, families, measures
-from .bloch import decompose, decompose_stack
+from .bloch import decompose, decompose_stack, require_column
 from .classify import classify_two_qubit
 from .density import DensityMatrix, StateValidationError, purity, state_from_json_dict, state_to_json_dict
 from .measures import measure_set
@@ -159,8 +159,6 @@ def cmd_measure(args) -> None:
 
 def cmd_classify(args) -> None:
     rho = _load(args.input)
-    if rho.dims != (2, 2):
-        raise ValueError(f"classification supports two-qubit states (dims [2, 2]), got dims {list(rho.dims)}")
     rep = classify_two_qubit(rho)
     # the report's fields in their declared order, invariants as an object or null
     report = {**asdict(rep), "category": rep.category.value, "purity": purity(rho)}
@@ -225,9 +223,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
         for idx, dims, mats in _state_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
             vectors, sectors = decompose_stack(dims, mats)
             for j, name in enumerate(outputs):
-                needs, applies, column = OUTPUTS[name]
-                if not applies(dims):
-                    raise ValueError(f"{name} output needs {needs}, got dims {dims}")
+                column = require_column(OUTPUTS, name, dims)
                 cells[idx, j] = np.asarray(column(dims, mats, vectors, sectors)).tolist()
         # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
         rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]

@@ -51,14 +51,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _dims(dims) -> tuple[int, ...]:
     try:                                # operator.index refuses 2.5, 2.0 and "2", which int() would take
-        return tuple(operator.index(d) for d in dims)
+        dims = tuple(operator.index(d) for d in dims)
     except TypeError as exc:
         raise TypeError(f"dims must be a list of integers, got {dims!r}") from exc
+    if len(dims) == 0 or any(d < 2 for d in dims):
+        raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
+    return dims
 
 
 def _check_shape(dims: tuple[int, ...], matrix: np.ndarray) -> None:
-    if len(dims) == 0 or any(d < 2 for d in dims):
-        raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
     d = prod(dims)
     if matrix.shape != (d, d):
         raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims} (expected {(d, d)})")
@@ -72,7 +73,8 @@ class DensityMatrix:
     ``dims`` lists the subsystem dimensions in tensor-product order and
     ``matrix`` is the full prod(dims) x prod(dims) complex matrix.  The
     constructors in this module guarantee the invariants; arbitrary matrices
-    should go through :func:`validate`.
+    should go through :func:`validate`.  A NaN or infinite entry raises
+    ValueError here already.
     """
 
     dims: tuple[int, ...]
@@ -82,6 +84,7 @@ class DensityMatrix:
         object.__setattr__(self, "dims", _dims(self.dims))
         object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
         _check_shape(self.dims, self.matrix)
+        _require_finite(self.matrix, "matrix")
 
     @property
     def total_dimension(self) -> int:

@@ -12,7 +12,7 @@ from math import log2
 
 import numpy as np
 
-from .bloch import BlochDecomposition, decompose_stack
+from .bloch import BlochDecomposition, decompose_stack, require_column
 from .density import DensityMatrix, _dims, _require_finite, is_pure, partial_trace, purity
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
@@ -58,30 +58,19 @@ def e_c_multipartite(decomp: BlochDecomposition) -> float:
     entangled pair in an otherwise uncorrelated system scores 1, matching the
     bipartite scale (an ordered-pair sum would double every term).
     """
-    dims = decomp.dims
-    if len(dims) < 3:
-        raise ValueError(f"multipartite measure needs >= 3 parties, got dims {dims}")
-    if len(set(dims)) != 1:
-        raise ValueError(f"multipartite measure requires equal party dimensions, got {dims}")
-    return _norm("ec", dims, decomp.correlations)
+    if len(decomp.dims) < 3:
+        raise ValueError(f"multipartite measure needs >= 3 parties, got dims {decomp.dims}")
+    return _norm("ec", decomp.dims, decomp.correlations)
 
 
 def e_d(decomp: BlochDecomposition) -> float:
     """Tripartite correlation measure K * sum D_ijk^2 (qubits or qutrits)."""
-    dims = decomp.dims
-    if len(dims) != 3:
-        raise ValueError(f"tripartite measure needs exactly 3 parties, got dims {dims}")
-    if len(set(dims)) != 1 or dims[0] not in TRIPLE_WEIGHTS:
-        raise ValueError(f"tripartite measure supports (2,2,2) and (3,3,3), got {dims}")
-    return _norm("ed", dims, decomp.correlations)
+    return _norm("ed", decomp.dims, decomp.correlations)
 
 
 def e_e(decomp: BlochDecomposition) -> float:
-    """Four-party correlation measure (1/8) * sum E_ijkl^2 for four qubits."""
-    if decomp.dims != (2, 2, 2, 2):
-        raise ValueError(f"four-party measure supports four qubits only, got dims {decomp.dims}")
-    if decomp.quad_correlations is None:
-        raise ValueError("decomposition carries no four-party tensor")
+    """Four-party correlation measure (1/8) * sum E_ijkl^2 for four qubits;
+    a missing four-party tensor counts as zero."""
     return _norm("ee", decomp.dims, decomp.correlations)
 
 
@@ -92,8 +81,7 @@ def _require_pure(rho: DensityMatrix, what: str) -> None:
 
 def concurrence_pure(rho: DensityMatrix) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) for a pure bipartite state."""
-    if rho.num_parties != 2:
-        raise ValueError(f"concurrence needs a bipartite state, got dims {rho.dims}")
+    require_column(COLUMNS, "concurrence", rho.dims)
     _require_pure(rho, "concurrence")
     pa = purity(partial_trace(rho, [0]))
     return float(np.sqrt(max(0.0, 2.0 * (1.0 - pa))))
@@ -102,8 +90,7 @@ def concurrence_pure(rho: DensityMatrix) -> float:
 def entanglement_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy (bits) of the reduced state of a pure bipartite
     state, with 0 log 0 = 0."""
-    if rho.num_parties != 2:
-        raise ValueError(f"entanglement entropy needs a bipartite state, got dims {rho.dims}")
+    require_column(COLUMNS, "entropy", rho.dims)
     _require_pure(rho, "entanglement entropy")
     mu = np.linalg.eigvalsh(partial_trace(rho, [0]).matrix).real
     return float(sum(-m * log2(m) for m in mu if m > 1e-15))      # +0.0, not -0.0, for a product
@@ -120,7 +107,7 @@ def _sector_norm(parties: int, weight):
 
 def _norm(name: str, dims: tuple[int, ...], sectors) -> float:
     """The ``name`` sector-norm column on one state's correlation tensors."""
-    return float(COLUMNS[name][2](dims, None, None, sectors))
+    return float(require_column(COLUMNS, name, dims)(dims, None, None, sectors))
 
 
 def _per_state(measure):
@@ -131,12 +118,13 @@ def _per_state(measure):
 # function).  A column function maps a (B, d, d) stack, its coherence vectors
 # and its correlation tensors (see bloch.decompose_stack) to B values.  The
 # sector norms ec, ed and ee are the only code for E_C, E_D and E_E: the e_*
-# functions check their input and call them on one state's tensors.
-# Concurrence and entropy go state by state, through the scalar functions, and
-# raise MixedStateError on a mixed state.
+# functions call them on one state's tensors.  Concurrence and entropy go
+# state by state, through the scalar functions, and raise MixedStateError on a
+# mixed state.  A row's test is the only statement of where its quantity is
+# defined: the scalar functions apply it through bloch.require_column.
 COLUMNS = {
-    "ec": ("two parties, three equal-dimension parties or four qubits",
-           lambda dims: len(dims) == 2 or len(dims) == 3 and len(set(dims)) == 1 or dims == (2, 2, 2, 2),
+    "ec": ("two parties or three or more equal-dimension parties",
+           lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
            _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
     "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
            _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
@@ -150,11 +138,8 @@ _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", 
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
-    """All measures applicable to the state's party structure.
-
-    Bipartite states get e_c plus concurrence/entropy when pure; equal-
-    dimension 3-party states get the pairwise sum and (for qubits/qutrits)
-    e_d; four-qubit states get the pairwise sum and e_e.
+    """The measures of every row of COLUMNS whose rule holds for the state's
+    party structure; concurrence and entropy only when the state is pure.
     """
     columns = {name: column for name, (_, applies, column) in COLUMNS.items() if applies(rho.dims)}
     if not columns:

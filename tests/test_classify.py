@@ -179,7 +179,7 @@ class TestPHInvariants:
             assert inv1.na_dot_c_nb == pytest.approx(inv0.na_dot_c_nb, abs=1e-10)
 
     def test_non_two_qubit_rejected(self, rng):
-        with pytest.raises(ValueError, match="two qubits"):
+        with pytest.raises(ValueError, match="two-qubit state"):
             ph_invariants(decompose_bipartite(rand_state((3, 3), rng)))
 
 

@@ -8,7 +8,7 @@ from helpers import kron_all, random_density_mat, random_pure_vec, random_unitar
 from mpcorr.bloch import decompose, decompose_bipartite
 from mpcorr.density import DensityMatrix, from_pure, tensor
 from mpcorr.families import bell, generalized_werner, ghz, rashid, tripartite_qutrit_e3
-from mpcorr.measures import (MixedStateError, concurrence_pure, e_c_bipartite,
+from mpcorr.measures import (MeasureSet, MixedStateError, concurrence_pure, e_c_bipartite,
                              e_c_multipartite, e_d, e_e, entanglement_entropy,
                              measure_set)
 
@@ -81,10 +81,9 @@ class TestECMultipartite:
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_unequal_dims_rejected(self, rng):
-        # the tripartite decomposition itself requires equal dims, so build a
-        # fake via the bipartite path
-        with pytest.raises(ValueError, match="equal|3 parties|>= 3"):
-            e_c_multipartite(decompose_bipartite(rand_state((2, 3), rng)))
+        for dims in [(2, 3), (2, 2, 3)]:
+            with pytest.raises(ValueError, match="equal|3 parties|>= 3"):
+                e_c_multipartite(decompose(rand_state(dims, rng)))
 
 
 class TestED:
@@ -99,7 +98,7 @@ class TestED:
         assert e_d(decompose(ghz(3, 3))) == pytest.approx(1.0, abs=1e-10)
 
     def test_wrong_party_count(self, rng):
-        with pytest.raises(ValueError, match="3 parties"):
+        with pytest.raises(ValueError, match="three qubits or three qutrits"):
             e_d(decompose(rand_state((2, 2), rng)))
 
 
@@ -261,19 +260,24 @@ class TestMeasureSet:
             measure_set(rand_state((2, 2, 3), rng))
 
     def test_nan_purity_is_not_pure(self):
-        # an unvalidated NaN matrix: the pure-state measures refuse it, as a mixed state
+        # a NaN matrix is no state at all: construction refuses it, so no
+        # measure can turn it into a number
         mat = np.eye(4) / 4
         mat[0, 0] = np.nan
-        with pytest.raises(MixedStateError):
-            concurrence_pure(DensityMatrix((2, 2), mat))
-        ms = measure_set(DensityMatrix((2, 2), mat))
-        assert ms.concurrence is None and ms.entropy_bits is None
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix((2, 2), mat)
 
-    @pytest.mark.parametrize("dims", [(2,), (3, 3, 3, 3), (2, 2, 2, 2, 2)])
+    @pytest.mark.parametrize("dims", [(2,)])
     def test_shapes_without_measures(self, dims):
         d = int(np.prod(dims))
         with pytest.raises(ValueError, match=r"no measures defined for party structure \(" + str(dims[0])):
             measure_set(DensityMatrix(dims, np.eye(d) / d))
+
+    @pytest.mark.parametrize("dims", [(3, 3, 3, 3), (2, 2, 2, 2, 2)])
+    def test_shapes_with_only_the_pairwise_sum(self, dims, rng):
+        rho = rand_state(dims, rng)
+        ms = measure_set(rho)
+        assert ms == MeasureSet(e_c=e_c_multipartite(decompose(rho)))
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2)])
     @pytest.mark.parametrize("rank", ["pure", "mixed"])
@@ -317,3 +321,9 @@ def test_e_c_bipartite_rejects_non_finite_entry(bad):
     c[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         e_c_bipartite(c, (2, 2))
+
+
+def test_e_c_bipartite_rejects_one_level_party():
+    # used to raise ZeroDivisionError in the pair weight 1 / (4 (n^2 - 1))
+    with pytest.raises(ValueError, match=">= 2"):
+        e_c_bipartite(np.zeros((0, 3)), (1, 2))

@@ -1,0 +1,84 @@
+"""Each row of measures.COLUMNS and classify.COLUMNS is the one statement of
+the party structures its quantity is defined on.  The scalar entry points
+raise ValueError exactly where the row's test is False, and measure_set fills
+a field exactly where its row applies, with the entry point's value."""
+
+import math
+
+import numpy as np
+import pytest
+
+from helpers import random_pure_vec
+
+from mpcorr import classify, measures
+from mpcorr.bloch import BlochDecomposition, coherence_vector, decompose
+from mpcorr.classify import ph_invariants, ph_test
+from mpcorr.density import from_pure
+from mpcorr.measures import (concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, e_e,
+                             entanglement_entropy, measure_set)
+
+SHAPES = [(2,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2),
+          (3, 3, 3, 3), (2,) * 5]
+
+ROWS = {**measures.COLUMNS, **classify.COLUMNS}
+
+# the scalar entry point of each row, on a state and its decomposition
+ENTRY_POINTS = {
+    "ec": lambda rho, dec: e_c_bipartite(dec.pair(0, 1), rho.dims) if rho.num_parties == 2 else e_c_multipartite(dec),
+    "ed": lambda rho, dec: e_d(dec),
+    "ee": lambda rho, dec: e_e(dec),
+    "concurrence": lambda rho, dec: concurrence_pure(rho),
+    "entropy": lambda rho, dec: entanglement_entropy(rho),
+    "ph": lambda rho, dec: ph_test(rho),
+    "xi": lambda rho, dec: ph_invariants(dec).xi,
+    "nanb": lambda rho, dec: ph_invariants(dec).na_dot_nb,
+}
+
+# correlation_spectrum, the scalar form of nsv, takes a bare matrix, not a
+# party structure
+NO_ENTRY_POINT = {"nsv"}
+
+FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", "entropy": "entropy_bits"}
+
+
+def pure_state(dims, rng):
+    return from_pure(random_pure_vec(math.prod(dims), rng), dims)
+
+
+def decomposition(rho):
+    """decompose needs two parties, so a one-party decomposition is built by hand."""
+    if rho.num_parties == 1:
+        return BlochDecomposition(rho.dims, (coherence_vector(rho),), {})
+    return decompose(rho)
+
+
+def test_every_row_is_covered():
+    assert set(ENTRY_POINTS) | NO_ENTRY_POINT == set(ROWS)
+    assert set(FIELDS) == set(measures.COLUMNS)
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_point_raises_exactly_where_its_row_does_not_apply(name, dims, rng):
+    rho = pure_state(dims, rng)
+    dec = decomposition(rho)
+    if ROWS[name][1](dims):
+        ENTRY_POINTS[name](rho, dec)
+    else:
+        with pytest.raises(ValueError):
+            ENTRY_POINTS[name](rho, dec)
+
+
+@pytest.mark.parametrize("dims", SHAPES, ids=lambda dims: "x".join(map(str, dims)))
+def test_measure_set_fills_exactly_the_rows_that_apply(dims, rng):
+    rho = pure_state(dims, rng)
+    applying = [name for name, (_, applies, _) in measures.COLUMNS.items() if applies(dims)]
+    if not applying:
+        with pytest.raises(ValueError, match="no measures defined"):
+            measure_set(rho)
+        return
+    ms, dec = measure_set(rho), decomposition(rho)
+    want = {FIELDS[name]: ENTRY_POINTS[name](rho, dec) for name in applying}
+    got = {field: getattr(ms, field) for field in FIELDS.values()}
+    assert got == {field: want.get(field) for field in FIELDS.values()}
+    assert all(np.isfinite(value) for value in want.values())
