@@ -1,9 +1,7 @@
 """mpcorr: SU(n) correlation-tensor decomposition, correlation measures, and
 entanglement classification for multipartite qudit density matrices."""
 
-from .bloch import (BlochDecomposition, coherence_vector, decompose,
-                    decompose_bipartite, decompose_quadripartite,
-                    decompose_tripartite, reconstruct)
+from .bloch import BlochDecomposition, coherence_vector, decompose, reconstruct
 from .classify import (Category, ClassificationReport, CorrelationSpectrum,
                        DegenerateBlochVectorsError, PHInvariants, PHVerdict,
                        classify_two_qubit, correlation_spectrum,
@@ -36,8 +34,7 @@ __all__ = [
     "StateValidationError", "TraceNotOneError",
     "antisymmetrizer_two_qubit", "bell", "cc_mixture", "classify_two_qubit",
     "coherence_vector", "concurrence_pure", "correlation_spectrum",
-    "decompose", "decompose_bipartite", "decompose_quadripartite",
-    "decompose_tripartite", "e_c_bipartite", "e_c_multipartite", "e_d", "e_e",
+    "decompose", "e_c_bipartite", "e_c_multipartite", "e_d", "e_e",
     "entanglement_entropy", "from_pure", "gell_mann_basis",
     "generalized_werner", "ghz", "is_pure", "measure_set", "mix",
     "partial_trace", "partial_transpose", "pauli_basis",

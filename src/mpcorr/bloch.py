@@ -20,6 +20,9 @@ a pair tensor of three or more parties equals the one taken on the two-party
 marginal.  T has exactly as many entries as rho, and costs one mode product
 per party and no partial traces.
 
+:func:`decompose` (:func:`decompose_stack` for a stack) is the one way in,
+for any shape of two or more parties; :func:`coherence_vector` gives n of one party.
+
 :func:`reconstruct` inverts the map.  It refills T from the vectors and
 tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
 A_{m_1} x ... with weight 1 for the identity and n_I / 2 for a generator of
@@ -37,7 +40,7 @@ from typing import Mapping
 import numpy as np
 
 from .density import DensityMatrix, _require_finite
-from .su_basis import GeneratorBasis, gell_mann_basis
+from .su_basis import gell_mann_basis
 
 IMAG_TOL = 1e-12
 
@@ -60,12 +63,12 @@ def _real_within(arr: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarra
 class BlochDecomposition:
     """Coherence vectors plus the correlation tensor of every party subset.
 
-    ``coherence_vectors[I]`` has length n_I^2 - 1.  ``correlations`` maps each
-    subset of two or more parties, as an increasing tuple, to its tensor.
-    ``pair_correlations`` (the C matrices), ``triple_correlations`` (the D
-    tensors, None below three parties) and ``quad_correlations`` (the E tensor
-    of a four-party state, else None) are read-only views of it.  A NaN or
-    infinite entry raises ValueError.
+    ``coherence_vectors[I]`` has length n_I^2 - 1.  ``correlations`` is the
+    one tensor mapping: each subset of two or more parties, as an increasing
+    tuple, maps to its tensor (C for a pair, D for a triple, E for four
+    parties, and so on), so ``correlations[(0, 1, 2)]`` is D.  :meth:`pair`
+    reads a C matrix in either party order.  A NaN or infinite entry raises
+    ValueError.
     """
 
     dims: tuple[int, ...]
@@ -76,33 +79,16 @@ class BlochDecomposition:
         parts = (*self.coherence_vectors, *self.correlations.values())
         _require_finite(np.concatenate([np.zeros(0), *map(np.ravel, parts)]), "decomposition")
 
-    def _arity(self, k: int) -> Mapping[tuple[int, ...], np.ndarray]:
-        return MappingProxyType({s: c for s, c in self.correlations.items() if len(s) == k})
-
-    @property
-    def pair_correlations(self) -> Mapping[tuple[int, int], np.ndarray]:
-        return self._arity(2)
-
-    @property
-    def triple_correlations(self) -> Mapping[tuple[int, int, int], np.ndarray] | None:
-        return self._arity(3) if len(self.dims) >= 3 else None
-
-    @property
-    def quad_correlations(self) -> np.ndarray | None:
-        return self.correlations.get((0, 1, 2, 3)) if len(self.dims) == 4 else None
-
     def pair(self, i: int, j: int) -> np.ndarray:
         """C matrix for an (unordered) party pair, transposed as needed."""
+        n = len(self.dims)
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"parties ({i}, {j}) must both be in 0..{n - 1} for dims {self.dims}")
         if i == j:
             raise ValueError("a correlation matrix needs two distinct parties")
         if i < j:
             return self.correlations[(i, j)]
         return self.correlations[(j, i)].T
-
-    def triple(self, i: int, j: int, k: int) -> np.ndarray:
-        if len(self.dims) < 3:
-            raise ValueError("no triple correlations in this decomposition")
-        return self.correlations[tuple(sorted((i, j, k)))]
 
 
 @lru_cache(maxsize=None)
@@ -201,39 +187,12 @@ def decompose(rho: DensityMatrix) -> BlochDecomposition:
                               MappingProxyType({s: c[0] for s, c in sectors.items()}))
 
 
-def coherence_vector(rho: DensityMatrix, basis: GeneratorBasis | None = None) -> np.ndarray:
-    """Generator expectation values <G_i> of a single-party state."""
+def coherence_vector(rho: DensityMatrix) -> np.ndarray:
+    """Generator expectation values <G_i> of a single-party state: the
+    generator slice of its moment tensor."""
     if rho.num_parties != 1:
         raise ValueError(f"coherence_vector needs a single-party state, got dims {rho.dims}")
-    if basis is None:
-        basis = gell_mann_basis(rho.dims[0])
-    if basis.dimension != rho.dims[0]:
-        raise ValueError(f"basis dimension {basis.dimension} does not match state dimension {rho.dims[0]}")
-    vals = np.einsum("iab,ba->i", basis.generators, rho.matrix)
-    return _real_within(vals, "coherence vector")
-
-
-def decompose_bipartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherence vectors and the C matrix of a two-party state (any n x m)."""
-    if rho.num_parties != 2:
-        raise ValueError(f"expected 2 parties, got dims {rho.dims}")
-    return decompose(rho)
-
-
-def decompose_tripartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherence vectors, the three pairwise C matrices, and the D tensor of
-    a three-party state."""
-    if rho.num_parties != 3:
-        raise ValueError(f"expected 3 parties, got dims {rho.dims}")
-    return decompose(rho)
-
-
-def decompose_quadripartite(rho: DensityMatrix) -> BlochDecomposition:
-    """Full decomposition of a four-party state: coherence vectors, six pair
-    C matrices, four triple D tensors, and the four-party E tensor."""
-    if rho.num_parties != 4:
-        raise ValueError(f"expected 4 parties, got dims {rho.dims}")
-    return decompose(rho)
+    return _real_within(_moments(rho.dims, rho.matrix[None])[0, 1:], "coherence vector")
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, _from_moments, _moments, decompose_bipartite, require_column
+from .bloch import BlochDecomposition, _from_moments, _moments, decompose, require_column
 from .density import DensityMatrix, HermitianOperator, _require_finite, is_pure
 
 NSV_ABS_FLOOR = 1e-12
@@ -203,7 +203,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
-    dec = decompose_bipartite(rho)
+    dec = decompose(rho)
     nsv_count = int(_spectrum(dec.pair(0, 1))[2])
     verdict = ph_test(rho)
     xi, na_nb, na_c_nb = _invariants(dec.coherence_vectors, dec.correlations)

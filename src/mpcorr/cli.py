@@ -125,16 +125,17 @@ def decomposition_report(rho: DensityMatrix) -> dict:
     if rho.num_parties > 4:
         raise ValueError(f"the decompose report covers at most four parties, got dims {list(rho.dims)}")
     dec = decompose(rho)
+    n = rho.num_parties
 
-    def keyed(sectors):
-        return None if sectors is None else {"-".join(map(str, s)): c.tolist() for s, c in sorted(sectors.items())}
+    def keyed(k):
+        return {"-".join(map(str, s)): c.tolist() for s, c in sorted(dec.correlations.items()) if len(s) == k}
 
     return {
         "dims": list(rho.dims),
         "coherence_vectors": [v.tolist() for v in dec.coherence_vectors],
-        "pair_correlations": keyed(dec.pair_correlations),
-        "triple_correlations": keyed(dec.triple_correlations),
-        "quad_correlations": None if dec.quad_correlations is None else dec.quad_correlations.tolist(),
+        "pair_correlations": keyed(2),
+        "triple_correlations": keyed(3) if n >= 3 else None,
+        "quad_correlations": dec.correlations[(0, 1, 2, 3)].tolist() if n == 4 else None,
     }
 
 

@@ -99,7 +99,7 @@ class DensityMatrix:
 class HermitianOperator:
     """Hermitian matrix over the same tensor structure as a DensityMatrix,
     without the trace/positivity requirements (partial transposes,
-    symmetrizers, ...)."""
+    symmetrizers, ...).  A NaN or infinite entry raises ValueError."""
 
     dims: tuple[int, ...]
     matrix: np.ndarray
@@ -108,6 +108,7 @@ class HermitianOperator:
         object.__setattr__(self, "dims", _dims(self.dims))
         object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
         _check_shape(self.dims, self.matrix)
+        _require_finite(self.matrix, "operator")
         herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
         if herm > HERMITICITY_TOL:
             raise NotHermitianError(f"operator is not Hermitian (residual {herm:.3e})", herm)

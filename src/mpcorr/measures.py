@@ -42,13 +42,14 @@ def _pair_weight(n: int, m: int) -> float:
 
 def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
     """Bipartite correlation measure K * Tr(C C^T) for an n x m system."""
-    n, m = _dims(dims)
+    dims = _dims(dims)
     c = np.asarray(c, dtype=float)
-    want = (n * n - 1, m * m - 1)
-    if c.shape != want:
-        raise ValueError(f"C has shape {c.shape}, expected {want} for dims {dims}")
+    want = tuple(d * d - 1 for d in dims)
+    if len(dims) != 2 or c.shape != want:
+        raise ValueError(f"e_c_bipartite needs two parties and C of shape (n^2 - 1, m^2 - 1), "
+                         f"got C of shape {c.shape} for dims {dims}")
     _require_finite(c, "C")
-    return _norm("ec", (n, m), {(0, 1): c})
+    return _norm("ec", dims, {(0, 1): c})
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
-from mpcorr.bloch import decompose, decompose_bipartite, reconstruct
+from mpcorr.bloch import decompose, reconstruct
 from mpcorr.classify import (DegenerateBlochVectorsError, correlation_spectrum,
                              ph_condition_explicit, ph_invariants, ph_test,
                              ph_test_signflip)
@@ -45,9 +45,9 @@ def binary_entropy(p: float) -> float:
 def test_criterion_01_bell_exactness():
     worst_ec = 0.0
     for which in ("phi+", "phi-", "psi+", "psi-"):
-        dec = decompose_bipartite(bell(which))
+        dec = decompose(bell(which))
         worst_ec = max(worst_ec, abs(e_c_bipartite(dec.pair(0, 1), (2, 2)) - 1.0))
-    c_err = float(np.abs(decompose_bipartite(PSI_MINUS_DM).pair(0, 1) + np.eye(3)).max())
+    c_err = float(np.abs(decompose(PSI_MINUS_DM).pair(0, 1) + np.eye(3)).max())
     report("01 bell-exactness",
            worst_ec <= 1e-12 and c_err <= 1e-14,
            f"max |E_C - 1| = {worst_ec:.2e}, max |C + I| = {c_err:.2e}")
@@ -60,13 +60,13 @@ def test_criterion_02_rashid_triple_curve():
     for theta in thetas:
         rho = rashid(theta)
         s = sech(2 * theta)
-        dec = decompose_bipartite(rho)
+        dec = decompose(rho)
         worst = max(worst,
                     abs(e_c_bipartite(dec.pair(0, 1), (2, 2)) - (2 * s * s + s ** 4) / 3),
                     abs(concurrence_pure(rho) - s),
                     abs(entanglement_entropy(rho) - binary_entropy((1 - math.tanh(2 * theta)) / 2)))
     rho0 = rashid(0.0)
-    at_zero = max(abs(e_c_bipartite(decompose_bipartite(rho0).pair(0, 1), (2, 2)) - 1),
+    at_zero = max(abs(e_c_bipartite(decompose(rho0).pair(0, 1), (2, 2)) - 1),
                   abs(concurrence_pure(rho0) - 1),
                   abs(entanglement_entropy(rho0) - 1))
     report("02 rashid-triple-curve", worst <= 1e-10 and at_zero <= 1e-10,
@@ -77,7 +77,7 @@ def test_criterion_03_werner_closed_forms():
     worst = 0.0
     for p in np.linspace(0.0, 1.0, 51):
         for theta in np.linspace(-2.0, 2.0, 41):
-            dec = decompose_bipartite(generalized_werner(p, theta))
+            dec = decompose(generalized_werner(p, theta))
             t, s = math.tanh(2 * theta), sech(2 * theta)
             na_want = np.array([0.0, 0.0, p * t])
             c_want = -p * np.diag([s, s, 1 - p + p * s * s])
@@ -115,7 +115,7 @@ def test_criterion_05_xi_identity():
                 continue
             rho = generalized_werner(p, theta)
             try:
-                inv = ph_invariants(decompose_bipartite(rho))
+                inv = ph_invariants(decompose(rho))
             except DegenerateBlochVectorsError:
                 continue  # p = 0 also has n_A . n_B = 0
             lhs = -inv.xi + math.sqrt(inv.xi ** 2 / 4.0 - inv.na_dot_nb)
@@ -131,7 +131,7 @@ def test_criterion_06_nsv_classification():
     rng = np.random.default_rng(606)
 
     def nsv_of(rho):
-        return correlation_spectrum(decompose_bipartite(rho).pair(0, 1)).nsv_count
+        return correlation_spectrum(decompose(rho).pair(0, 1)).nsv_count
 
     ok = True
     details = []
@@ -211,7 +211,7 @@ def test_criterion_08_roundtrip_and_invariance():
         d = int(np.prod(dims))
         for _ in range(50):
             rho = DensityMatrix(dims, random_density_mat(d, rng))
-            dec = decompose_bipartite(rho)
+            dec = decompose(rho)
             delta = rho.matrix - tensor(partial_trace(rho, [0]), partial_trace(rho, [1])).matrix
             lhs = float(np.trace(delta @ delta).real)
             worst_id = max(worst_id, abs(lhs - 0.25 * float((dec.pair(0, 1) ** 2).sum())))
@@ -250,7 +250,7 @@ def test_criterion_11_documented_non_reproduction():
     # theta = 0 the direct value is 0.75 while the printed form gives 1.5.
     # The direct value is what this package computes.
     p, theta = 0.5, 0.0
-    dec = decompose_bipartite(generalized_werner(p, theta))
+    dec = decompose(generalized_werner(p, theta))
     direct = float((dec.pair(0, 1) ** 2).sum())
     s = sech(2 * theta)
     closed = 2 * p * p * s * s + p * p * (1 - p + p * s * s) ** 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
-from mpcorr.bloch import decompose_bipartite
+from mpcorr.bloch import decompose
 from mpcorr.classify import (Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
                              correlation_spectrum, ph_condition_explicit,
@@ -41,12 +41,12 @@ class TestCorrelationSpectrum:
         assert spec.nsv_count == 0
 
     def test_singlet(self):
-        spec = correlation_spectrum(decompose_bipartite(bell("psi-")).pair(0, 1))
+        spec = correlation_spectrum(decompose(bell("psi-")).pair(0, 1))
         assert np.abs(spec.singular_values - 1.0).max() < 1e-12
         assert spec.nsv_count == 3
 
     def test_two_term_cc_mixture(self, rng):
-        spec = correlation_spectrum(decompose_bipartite(random_cc_qubit(2, rng)).pair(0, 1))
+        spec = correlation_spectrum(decompose(random_cc_qubit(2, rng)).pair(0, 1))
         assert spec.nsv_count == 1
 
     def test_eigenvalue_sum_is_trace(self, rng):
@@ -142,19 +142,19 @@ class TestPHSignFlip:
 class TestPHInvariants:
     def test_werner_closed_forms(self):
         p, theta = 0.6, 0.45
-        inv = ph_invariants(decompose_bipartite(generalized_werner(p, theta)))
+        inv = ph_invariants(decompose(generalized_werner(p, theta)))
         sech = 1 / math.cosh(2 * theta)
         assert inv.xi == pytest.approx(-2 * p * sech, abs=1e-12)
         assert inv.na_dot_nb == pytest.approx(-(p * math.tanh(2 * theta)) ** 2, abs=1e-12)
 
     def test_degenerate_at_theta_zero(self):
-        dec = decompose_bipartite(generalized_werner(0.5, 0.0))
+        dec = decompose(generalized_werner(0.5, 0.0))
         with pytest.raises(DegenerateBlochVectorsError):
             ph_invariants(dec)
 
     def test_paper_identity(self):
         p, theta = 0.5, 0.3
-        inv = ph_invariants(decompose_bipartite(generalized_werner(p, theta)))
+        inv = ph_invariants(decompose(generalized_werner(p, theta)))
         lhs = -inv.xi + math.sqrt(inv.xi ** 2 / 4 - inv.na_dot_nb)
         rhs = p * (1 + 2 / math.cosh(2 * theta))
         assert lhs == pytest.approx(rhs, abs=1e-10)
@@ -164,7 +164,7 @@ class TestPHInvariants:
         # preserved by the *same* rotation on both parties (U x U), which is
         # the transformation that rotates n_A, n_B, and C simultaneously.
         rho = rand_state((2, 2), rng)
-        base = decompose_bipartite(rho)
+        base = decompose(rho)
         try:
             inv0 = ph_invariants(base)
         except DegenerateBlochVectorsError:
@@ -173,19 +173,19 @@ class TestPHInvariants:
             single = random_unitary(2, rng)
             u = kron_all([single, single])
             rotated = DensityMatrix((2, 2), u @ rho.matrix @ u.conj().T)
-            inv1 = ph_invariants(decompose_bipartite(rotated))
+            inv1 = ph_invariants(decompose(rotated))
             assert inv1.xi == pytest.approx(inv0.xi, abs=1e-10)
             assert inv1.na_dot_nb == pytest.approx(inv0.na_dot_nb, abs=1e-10)
             assert inv1.na_dot_c_nb == pytest.approx(inv0.na_dot_c_nb, abs=1e-10)
 
     def test_non_two_qubit_rejected(self, rng):
         with pytest.raises(ValueError, match="two-qubit state"):
-            ph_invariants(decompose_bipartite(rand_state((3, 3), rng)))
+            ph_invariants(decompose(rand_state((3, 3), rng)))
 
 
 class TestPHExplicit:
     def test_strongly_entangled_werner(self):
-        inv = ph_invariants(decompose_bipartite(generalized_werner(0.9, 0.2)))
+        inv = ph_invariants(decompose(generalized_werner(0.9, 0.2)))
         assert ph_condition_explicit(inv)
 
     def test_separable_value_from_invariants(self):
@@ -199,7 +199,7 @@ class TestPHExplicit:
                 if abs(math.tanh(2 * theta)) < 1e-6:
                     continue
                 rho = generalized_werner(p, theta)
-                inv = ph_invariants(decompose_bipartite(rho))
+                inv = ph_invariants(decompose(rho))
                 assert ph_condition_explicit(inv) == ph_test(rho).entangled
 
     def test_negative_discriminant_rejected(self):
@@ -262,20 +262,20 @@ class TestNSVLaws:
         hits = 0
         draws = 200
         for _ in range(draws):
-            spec = correlation_spectrum(decompose_bipartite(random_cc_qubit(k, rng)).pair(0, 1))
+            spec = correlation_spectrum(decompose(random_cc_qubit(k, rng)).pair(0, 1))
             assert spec.nsv_count <= want
             hits += spec.nsv_count == want
         assert hits / draws >= 0.99
 
     def test_qutrit_cc_two_terms(self, rng):
         for _ in range(100):
-            spec = correlation_spectrum(decompose_bipartite(random_cc_qutrit(2, rng)).pair(0, 1))
+            spec = correlation_spectrum(decompose(random_cc_qutrit(2, rng)).pair(0, 1))
             assert spec.nsv_count == 1
 
     @pytest.mark.parametrize("k", [3, 5, 9, 12])
     def test_qutrit_cc_bound(self, k, rng):
         for _ in range(40):
-            spec = correlation_spectrum(decompose_bipartite(random_cc_qutrit(k, rng)).pair(0, 1))
+            spec = correlation_spectrum(decompose(random_cc_qutrit(k, rng)).pair(0, 1))
             assert spec.nsv_count <= min(k - 1, 8)
 
     def test_pure_two_qutrit_schmidt_classes(self, rng):
@@ -285,11 +285,11 @@ class TestNSVLaws:
                    + math.sqrt(1 - lam) * np.kron([0, 1, 0], [0, 1, 0]))
             u = kron_all([random_unitary(3, rng), random_unitary(3, rng)])
             spec = correlation_spectrum(
-                decompose_bipartite(from_pure(u @ vec, (3, 3))).pair(0, 1))
+                decompose(from_pure(u @ vec, (3, 3))).pair(0, 1))
             assert spec.nsv_count == 3
         for _ in range(50):
             spec = correlation_spectrum(
-                decompose_bipartite(from_pure(random_pure_vec(9, rng), (3, 3))).pair(0, 1))
+                decompose(from_pure(random_pure_vec(9, rng), (3, 3))).pair(0, 1))
             assert spec.nsv_count == 8
 
     def test_cc_states_never_ph_entangled(self, rng):

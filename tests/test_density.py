@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (SX, dm_of, kron_all, oracle_ptrace,
                      random_density_mat, random_pure_vec)
 
-from mpcorr.density import (DensityMatrix, NotHermitianError, NotPSDError,
+from mpcorr.density import (DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError,
                             StateValidationError, TraceNotOneError, from_pure, mix, partial_trace,
                             partial_transpose, purity, state_from_json_dict,
                             state_to_json_dict, tensor, validate)
@@ -212,6 +212,16 @@ class TestPartialTranspose:
         rho = DensityMatrix((2, 2), random_density_mat(4, rng))
         with pytest.raises(ValueError, match="range"):
             partial_transpose(rho, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hermitian_operator_rejects_non_finite_entry(bad):
+    # a NaN residual compares False with the Hermiticity tolerance, so the
+    # finiteness check has to come first
+    mat = np.eye(4, dtype=complex) / 4
+    mat[0, 0] = bad
+    with pytest.raises(ValueError, match="operator has a non-finite"):
+        HermitianOperator((2, 2), mat)
 
 
 class TestPurity:

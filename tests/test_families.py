@@ -5,7 +5,7 @@ import pytest
 
 from helpers import SX, SY, SZ, kron_all, random_bloch
 
-from mpcorr.bloch import decompose, decompose_bipartite
+from mpcorr.bloch import decompose
 from mpcorr.classify import correlation_spectrum, ph_test
 from mpcorr.density import partial_transpose, validate
 from mpcorr.families import (BELL_VECTORS, bell, cc_mixture,
@@ -24,12 +24,12 @@ BELL_C_DIAGONALS = {
 class TestBell:
     @pytest.mark.parametrize("which", sorted(BELL_VECTORS))
     def test_correlation_matrices(self, which):
-        c = decompose_bipartite(bell(which)).pair(0, 1)
+        c = decompose(bell(which)).pair(0, 1)
         assert np.abs(c - np.diag(BELL_C_DIAGONALS[which])).max() < 1e-14
 
     @pytest.mark.parametrize("which", sorted(BELL_VECTORS))
     def test_maximally_entangled(self, which):
-        c = decompose_bipartite(bell(which)).pair(0, 1)
+        c = decompose(bell(which)).pair(0, 1)
         assert e_c_bipartite(c, (2, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_unknown_name_rejected(self):
@@ -58,7 +58,7 @@ class TestRashid:
 
     def test_large_theta_unentangles(self):
         for theta in (5.0, -5.0):
-            c = decompose_bipartite(rashid(theta)).pair(0, 1)
+            c = decompose(rashid(theta)).pair(0, 1)
             assert e_c_bipartite(c, (2, 2)) < 1e-6
 
     def test_output_is_valid(self):
@@ -70,7 +70,7 @@ class TestCCMixture:
     def test_opposed_z_terms(self):
         rho = cc_mixture([(0.5, [0, 0, 1], [0, 0, -1]),
                           (0.5, [0, 0, -1], [0, 0, 1])])
-        c = decompose_bipartite(rho).pair(0, 1)
+        c = decompose(rho).pair(0, 1)
         want = np.zeros((3, 3))
         want[2, 2] = -1.0
         assert np.abs(c - want).max() < 1e-14
@@ -78,14 +78,14 @@ class TestCCMixture:
 
     def test_single_term_is_product(self, rng):
         rho = cc_mixture([(1.0, random_bloch(rng), random_bloch(rng))])
-        assert np.abs(decompose_bipartite(rho).pair(0, 1)).max() < 1e-13
+        assert np.abs(decompose(rho).pair(0, 1)).max() < 1e-13
 
     def test_tilted_weights_reproduce_sech_squared(self):
         for theta in (0.0, 0.4, 1.1):
             z = 2 * math.cosh(2 * theta)
             rho = cc_mixture([(math.exp(-2 * theta) / z, [0, 0, -1], [0, 0, 1]),
                               (math.exp(2 * theta) / z, [0, 0, 1], [0, 0, -1])])
-            c = decompose_bipartite(rho).pair(0, 1)
+            c = decompose(rho).pair(0, 1)
             sech2 = 1 / math.cosh(2 * theta) ** 2
             offdiag = c - np.diag(np.diag(c))
             assert np.abs(offdiag).max() < 1e-14
@@ -98,7 +98,7 @@ class TestCCMixture:
             k = rng.integers(2, 6)
             weights = rng.dirichlet(np.ones(k))
             terms = [(w, random_bloch(rng), random_bloch(rng)) for w in weights]
-            dec = decompose_bipartite(cc_mixture(terms))
+            dec = decompose(cc_mixture(terms))
             na = sum(w * np.asarray(a) for w, a, _ in terms)
             nb = sum(w * np.asarray(b) for w, _, b in terms)
             c = sum(w * np.multiply.outer(np.asarray(a), np.asarray(b) - nb) for w, a, b in terms)
@@ -127,7 +127,7 @@ class TestGeneralizedWerner:
     def test_closed_forms_on_grid(self):
         for p in np.linspace(0, 1, 21):
             for theta in np.linspace(-2, 2, 21):
-                dec = decompose_bipartite(generalized_werner(p, theta))
+                dec = decompose(generalized_werner(p, theta))
                 t, s = math.tanh(2 * theta), 1 / math.cosh(2 * theta)
                 na = np.array([0, 0, p * t])
                 c = -p * np.diag([s, s, 1 - p + p * s * s])
@@ -141,7 +141,7 @@ class TestGeneralizedWerner:
     def test_zero_mixing_is_maximally_mixed(self):
         rho = generalized_werner(0.0, 1.3)
         assert np.abs(rho.matrix - np.eye(4) / 4).max() < 1e-14
-        dec = decompose_bipartite(rho)
+        dec = decompose(rho)
         assert np.abs(dec.pair(0, 1)).max() < 1e-14
         assert np.abs(dec.coherence_vectors[0]).max() < 1e-14
 
@@ -163,7 +163,7 @@ class TestGHZ:
 
     def test_four_qubits_e_xxxx(self):
         dec = decompose(ghz(4, 2))
-        assert dec.quad_correlations[0, 0, 0, 0] == pytest.approx(1.0, abs=1e-13)
+        assert dec.correlations[(0, 1, 2, 3)][0, 0, 0, 0] == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("parties,level", [(2, 2), (4, 3), (5, 2), (3, 4)])
     def test_unsupported_sizes(self, parties, level):

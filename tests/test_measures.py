@@ -5,7 +5,7 @@ import pytest
 
 from helpers import kron_all, random_density_mat, random_pure_vec, random_unitary
 
-from mpcorr.bloch import decompose, decompose_bipartite
+from mpcorr.bloch import decompose
 from mpcorr.density import DensityMatrix, from_pure, tensor
 from mpcorr.families import bell, generalized_werner, ghz, rashid, tripartite_qutrit_e3
 from mpcorr.measures import (MeasureSet, MixedStateError, concurrence_pure, e_c_bipartite,
@@ -28,13 +28,13 @@ def binary_entropy(p):
 class TestECBipartite:
     @pytest.mark.parametrize("which", ["phi+", "phi-", "psi+", "psi-"])
     def test_bell_states_maximal(self, which):
-        dec = decompose_bipartite(bell(which))
+        dec = decompose(bell(which))
         assert e_c_bipartite(dec.pair(0, 1), (2, 2)) == pytest.approx(1.0, abs=1e-12)
 
     def test_rashid_closed_form(self):
         theta = 0.5
         sech = 1 / math.cosh(2 * theta)
-        dec = decompose_bipartite(rashid(theta))
+        dec = decompose(rashid(theta))
         got = e_c_bipartite(dec.pair(0, 1), (2, 2))
         assert got == pytest.approx((2 * sech ** 2 + sech ** 4) / 3, abs=1e-12)
         # cross-check against the raw matrix-element sum
@@ -55,7 +55,7 @@ class TestECBipartite:
         # maximally entangled two-qutrit state reaches 1
         vec = np.zeros(9)
         vec[0] = vec[4] = vec[8] = 1 / np.sqrt(3)
-        dec = decompose_bipartite(from_pure(vec, (3, 3)))
+        dec = decompose(from_pure(vec, (3, 3)))
         assert e_c_bipartite(dec.pair(0, 1), (3, 3)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -77,7 +77,7 @@ class TestECMultipartite:
         pair = rand_state((2, 2), rng)
         rho = tensor(pair, rand_state((2,), rng))
         got = e_c_multipartite(decompose(rho))
-        want = e_c_bipartite(decompose_bipartite(pair).pair(0, 1), (2, 2))
+        want = e_c_bipartite(decompose(pair).pair(0, 1), (2, 2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_unequal_dims_rejected(self, rng):
@@ -114,7 +114,7 @@ class TestEDOperatorForm:
             rho = rand_state(dims, rng)
             dec = decompose(rho)
             without_triple = BlochDecomposition(dec.dims, dec.coherence_vectors,
-                                                dec.pair_correlations)
+                                                {s: c for s, c in dec.correlations.items() if len(s) == 2})
             delta = rho.matrix - reconstruct(without_triple).matrix
             want = k * 8.0 * float(np.trace(delta @ delta).real)
             assert e_d(dec) == pytest.approx(want, abs=1e-12)
@@ -212,7 +212,7 @@ class TestLocalUnitaryInvariance:
 def test_e_c_range_random_states(dims, count, rng):
     top = 0.0
     for _ in range(count):
-        dec = decompose_bipartite(rand_state(dims, rng))
+        dec = decompose(rand_state(dims, rng))
         val = e_c_bipartite(dec.pair(0, 1), dims)
         assert -1e-12 <= val <= 1.0 + 1e-10
         top = max(top, val)
@@ -224,7 +224,7 @@ def test_rashid_measures_monotone_decreasing():
     ec, cc, ss = [], [], []
     for theta in thetas:
         rho = rashid(theta)
-        dec = decompose_bipartite(rho)
+        dec = decompose(rho)
         ec.append(e_c_bipartite(dec.pair(0, 1), (2, 2)))
         cc.append(concurrence_pure(rho))
         ss.append(entanglement_entropy(rho))
@@ -304,7 +304,7 @@ def test_tripartite_qutrit_family_reaches_unit_e_d():
 
 def test_werner_e_c_direct_value():
     # direct Tr(C C^T) at p = 0.5, theta = 0 is 0.75 (so e_c = 0.25)
-    dec = decompose_bipartite(generalized_werner(0.5, 0.0))
+    dec = decompose(generalized_werner(0.5, 0.0))
     assert (dec.pair(0, 1) ** 2).sum() == pytest.approx(0.75, abs=1e-12)
     assert e_c_bipartite(dec.pair(0, 1), (2, 2)) == pytest.approx(0.25, abs=1e-12)
 
@@ -321,6 +321,12 @@ def test_e_c_bipartite_rejects_non_finite_entry(bad):
     c[0, 1] = bad
     with pytest.raises(ValueError, match="non-finite"):
         e_c_bipartite(c, (2, 2))
+
+
+def test_e_c_bipartite_rejects_other_than_two_parties():
+    # used to raise "too many values to unpack"
+    with pytest.raises(ValueError, match="needs two parties"):
+        e_c_bipartite(np.zeros((3, 3)), (2, 2, 2))
 
 
 def test_e_c_bipartite_rejects_one_level_party():
