@@ -30,6 +30,7 @@ party I, from Tr(1) = n and Tr(G_i G_j) = 2 delta_ij.  On a correlation
 sector S this is the prefactor prod_{I in S} (n_I / 2).
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
@@ -80,15 +81,16 @@ class BlochDecomposition:
         _require_finite(np.concatenate([np.zeros(0), *map(np.ravel, parts)]), "decomposition")
 
     def pair(self, i: int, j: int) -> np.ndarray:
-        """C matrix for an (unordered) party pair, transposed as needed."""
-        n = len(self.dims)
+        """C matrix for an (unordered) party pair, transposed as needed; a
+        read-only zero matrix where ``correlations`` has no tensor for it."""
+        n, i, j = len(self.dims), operator.index(i), operator.index(j)
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"parties ({i}, {j}) must both be in 0..{n - 1} for dims {self.dims}")
         if i == j:
             raise ValueError("a correlation matrix needs two distinct parties")
-        if i < j:
-            return self.correlations[(i, j)]
-        return self.correlations[(j, i)].T
+        a, b = sorted((i, j))
+        c = self.correlations.get((a, b), np.broadcast_to(0.0, (self.dims[a] ** 2 - 1, self.dims[b] ** 2 - 1)))
+        return c if i < j else c.T
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, _from_moments, _moments, decompose, require_column
-from .density import DensityMatrix, HermitianOperator, _require_finite, is_pure
+from .density import DensityMatrix, HermitianOperator, _partial_transpose, _require_finite, is_pure
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
@@ -100,14 +100,13 @@ def _spectrum(c: np.ndarray):
 def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
     """Least eigenvalue of the partial transpose on the second party of one
     (d, d) bipartite state or of a (B, d, d) stack."""
-    pt = mats.reshape(mats.shape[:-2] + dims + dims).swapaxes(-3, -1).reshape(mats.shape)
-    return np.linalg.eigvalsh(pt).min(axis=-1)
+    return np.linalg.eigvalsh(_partial_transpose(dims, mats, 1)).min(axis=-1)
 
 
-def _invariants(vectors, sectors):
+def _invariants(vectors, c):
     """xi, n_A . n_B and n_A . C . n_B of one two-qubit state's vectors and
-    tensors, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12."""
-    (na, nb), c = vectors, sectors[(0, 1)]
+    C, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12."""
+    na, nb = vectors
     na_nb = (na * nb).sum(axis=-1)
     na_c_nb = np.einsum("...i,...ij,...j->...", na, c, nb)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -168,7 +167,7 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
     Undefined (raises DegenerateBlochVectorsError) when |n_A . n_B| <= 1e-12.
     """
     require_column(COLUMNS, "xi", decomp.dims)
-    xi, na_nb, na_c_nb = _invariants(decomp.coherence_vectors, decomp.correlations)
+    xi, na_nb, na_c_nb = _invariants(decomp.coherence_vectors, decomp.pair(0, 1))
     if np.isnan(xi):
         raise DegenerateBlochVectorsError(
             f"n_A . n_B = {na_nb:.3e}; xi is undefined for (near-)orthogonal Bloch vectors")
@@ -206,7 +205,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     dec = decompose(rho)
     nsv_count = int(_spectrum(dec.pair(0, 1))[2])
     verdict = ph_test(rho)
-    xi, na_nb, na_c_nb = _invariants(dec.coherence_vectors, dec.correlations)
+    xi, na_nb, na_c_nb = _invariants(dec.coherence_vectors, dec.pair(0, 1))
     invariants = None if np.isnan(xi) else PHInvariants(float(xi), float(na_nb), float(na_c_nb))
     if is_pure(rho):
         category = Category.PURE_PRODUCT if nsv_count == 0 else Category.PURE_ENTANGLED
@@ -230,7 +229,7 @@ COLUMNS = {
     "ph": ("a bipartite state", lambda dims: len(dims) == 2,
            lambda dims, mats, vectors, sectors: (_pt_min(dims, mats) < -PT_NEGATIVITY_TOL).astype(int)),
     "xi": ("a two-qubit state", lambda dims: dims == (2, 2),
-           lambda dims, mats, vectors, sectors: _invariants(vectors, sectors)[0]),
+           lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[0]),
     "nanb": ("a two-qubit state", lambda dims: dims == (2, 2),
-             lambda dims, mats, vectors, sectors: _invariants(vectors, sectors)[1]),
+             lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[1]),
 }

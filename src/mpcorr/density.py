@@ -9,7 +9,6 @@ with total dimension up to a few hundred.
 """
 
 import operator
-import string
 from dataclasses import dataclass
 from math import prod
 
@@ -43,8 +42,8 @@ class NotPSDError(StateValidationError):
     kind = "NotPSD"
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=complex)
+def _freeze(arr) -> np.ndarray:
+    arr = np.array(arr, dtype=complex, order="C")     # a copy: the caller's array stays its own
     arr.setflags(write=False)
     return arr
 
@@ -82,7 +81,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims))
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
         _check_shape(self.dims, self.matrix)
         _require_finite(self.matrix, "matrix")
 
@@ -106,7 +105,7 @@ class HermitianOperator:
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims))
-        object.__setattr__(self, "matrix", _freeze(np.asarray(self.matrix)))
+        object.__setattr__(self, "matrix", _freeze(self.matrix))
         _check_shape(self.dims, self.matrix)
         _require_finite(self.matrix, "operator")
         herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
@@ -153,10 +152,8 @@ def validate(matrix, dims) -> DensityMatrix:
     and FloatingPointError for entries so large (near 1e308) that a residual
     or an eigenvalue overflows.
     """
-    dims = _dims(dims)
-    mat = np.asarray(matrix, dtype=complex)
-    _check_shape(dims, mat)
-    _require_finite(mat, "matrix")
+    rho = DensityMatrix(dims, matrix)
+    mat = rho.matrix
     with np.errstate(over="raise"):
         herm = float(np.abs(mat - mat.conj().T).max())
         tr = complex(np.trace(mat))
@@ -170,7 +167,7 @@ def validate(matrix, dims) -> DensityMatrix:
         raise FloatingPointError(f"matrix eigenvalues overflow (least eigenvalue {min_eig})")
     if min_eig < -PSD_TOL:
         raise NotPSDError(f"matrix is not PSD (min eigenvalue {min_eig:.3e})", -min_eig)
-    return DensityMatrix(dims, mat)
+    return rho
 
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
@@ -198,9 +195,23 @@ def mix(weights, states) -> DensityMatrix:
     return DensityMatrix(dims, acc)
 
 
-def _axis_letters(n: int) -> tuple[list[str], list[str]]:
-    letters = string.ascii_lowercase
-    return list(letters[:n]), list(letters[n : 2 * n])
+def _partial_trace(dims: tuple[int, ...], mats: np.ndarray, kept: list[int]) -> np.ndarray:
+    """Marginals on the increasing parties ``kept`` of a (d, d) matrix or a (B, d, d) stack."""
+    n, lead = len(dims), mats.shape[:-2]
+    cols = [n + i if i in kept else i for i in range(n)]
+    t = np.einsum(mats.reshape(lead + dims + dims), [..., *range(n), *cols], [..., *kept, *(n + i for i in kept)])
+    return t.reshape(lead + 2 * (prod(dims[i] for i in kept),))
+
+
+def _partial_transpose(dims: tuple[int, ...], mats: np.ndarray, party: int) -> np.ndarray:
+    """A (d, d) matrix or a (B, d, d) stack with the indices of ``party`` transposed."""
+    n = len(dims)
+    return mats.reshape(mats.shape[:-2] + dims + dims).swapaxes(party - 2 * n, party - n).reshape(mats.shape)
+
+
+def _purity(mats: np.ndarray) -> np.ndarray:
+    """Tr(rho^2) of one (d, d) matrix or of each matrix of a (B, d, d) stack."""
+    return np.einsum("...ij,...ji->...", mats, mats).real
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -217,15 +228,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep indices {kept} out of range for {n} parties")
     if len(kept) == n:
         return rho
-    row, col = _axis_letters(n)
-    for i in range(n):
-        if i not in kept:
-            col[i] = row[i]
-    out = "".join(row[i] for i in kept) + "".join(col[i] for i in kept)
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    reduced = np.einsum("".join(row) + "".join(col) + "->" + out, t)
-    d = prod(rho.dims[i] for i in kept)
-    return DensityMatrix(tuple(rho.dims[i] for i in kept), reduced.reshape(d, d))
+    return DensityMatrix(tuple(rho.dims[i] for i in kept), _partial_trace(rho.dims, rho.matrix, kept))
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:
@@ -238,15 +241,12 @@ def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:
     party = int(party)
     if party < 0 or party >= n:
         raise ValueError(f"party index {party} out of range for {n} parties")
-    t = rho.matrix.reshape(rho.dims + rho.dims)
-    t = np.swapaxes(t, party, party + n)
-    d = rho.total_dimension
-    return HermitianOperator(rho.dims, t.reshape(d, d))
+    return HermitianOperator(rho.dims, _partial_transpose(rho.dims, rho.matrix, party))
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); equals 1 exactly for pure states."""
-    return float(np.einsum("ij,ji->", rho.matrix, rho.matrix).real)
+    return float(_purity(rho.matrix))
 
 
 def is_pure(rho: DensityMatrix) -> bool:

@@ -8,12 +8,11 @@ pairs.  The triple and quadruple analogues use K = 1/4 (qubits) or 27/160
 """
 
 from dataclasses import dataclass
-from math import log2
 
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack, require_column
-from .density import DensityMatrix, _dims, _require_finite, is_pure, partial_trace, purity
+from .density import PURITY_TOL, DensityMatrix, _dims, _partial_trace, _purity, _require_finite
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -49,7 +48,7 @@ def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
         raise ValueError(f"e_c_bipartite needs two parties and C of shape (n^2 - 1, m^2 - 1), "
                          f"got C of shape {c.shape} for dims {dims}")
     _require_finite(c, "C")
-    return _norm("ec", dims, {(0, 1): c})
+    return _one("ec", dims, sectors={(0, 1): c})
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:
@@ -61,40 +60,29 @@ def e_c_multipartite(decomp: BlochDecomposition) -> float:
     """
     if len(decomp.dims) < 3:
         raise ValueError(f"multipartite measure needs >= 3 parties, got dims {decomp.dims}")
-    return _norm("ec", decomp.dims, decomp.correlations)
+    return _one("ec", decomp.dims, sectors=decomp.correlations)
 
 
 def e_d(decomp: BlochDecomposition) -> float:
     """Tripartite correlation measure K * sum D_ijk^2 (qubits or qutrits)."""
-    return _norm("ed", decomp.dims, decomp.correlations)
+    return _one("ed", decomp.dims, sectors=decomp.correlations)
 
 
 def e_e(decomp: BlochDecomposition) -> float:
     """Four-party correlation measure (1/8) * sum E_ijkl^2 for four qubits;
     a missing four-party tensor counts as zero."""
-    return _norm("ee", decomp.dims, decomp.correlations)
-
-
-def _require_pure(rho: DensityMatrix, what: str) -> None:
-    if not is_pure(rho):
-        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity(rho):.9f})")
+    return _one("ee", decomp.dims, sectors=decomp.correlations)
 
 
 def concurrence_pure(rho: DensityMatrix) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) for a pure bipartite state."""
-    require_column(COLUMNS, "concurrence", rho.dims)
-    _require_pure(rho, "concurrence")
-    pa = purity(partial_trace(rho, [0]))
-    return float(np.sqrt(max(0.0, 2.0 * (1.0 - pa))))
+    return _one("concurrence", rho.dims, rho.matrix)
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy (bits) of the reduced state of a pure bipartite
     state, with 0 log 0 = 0."""
-    require_column(COLUMNS, "entropy", rho.dims)
-    _require_pure(rho, "entanglement entropy")
-    mu = np.linalg.eigvalsh(partial_trace(rho, [0]).matrix).real
-    return float(sum(-m * log2(m) for m in mu if m > 1e-15))      # +0.0, not -0.0, for a product
+    return _one("entropy", rho.dims, rho.matrix)
 
 
 def _sector_norm(parties: int, weight):
@@ -106,23 +94,35 @@ def _sector_norm(parties: int, weight):
         np.square(c).sum(axis=tuple(range(-parties, 0))) for s, c in sectors.items() if len(s) == parties)
 
 
-def _norm(name: str, dims: tuple[int, ...], sectors) -> float:
-    """The ``name`` sector-norm column on one state's correlation tensors."""
-    return float(require_column(COLUMNS, name, dims)(dims, None, None, sectors))
+def _one(name: str, dims: tuple[int, ...], mat=None, sectors=None) -> float:
+    """The ``name`` column on one state: its (d, d) matrix or its correlation tensors."""
+    return float(require_column(COLUMNS, name, dims)(dims, mat, None, sectors))
 
 
-def _per_state(measure):
-    return lambda dims, mats, vectors, sectors: [measure(DensityMatrix(dims, m)) for m in mats]
+def _pure_marginals(what: str, dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
+    """Party-A marginals of pure bipartite states; MixedStateError names the first mixed one."""
+    purity = _purity(mats)
+    mixed = ~(purity >= 1.0 - PURITY_TOL)         # the test of is_pure, so NaN counts as mixed
+    if mixed.any():
+        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity[mixed][0]:.9f})")
+    return _partial_trace(dims, mats, [0])
+
+
+def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
+    mu = np.linalg.eigvalsh(marginals)
+    terms = np.where(mu > 1e-15, -mu * np.log2(np.where(mu > 1e-15, mu, 1.0)), 0.0)
+    return terms.sum(axis=-1) + 0.0        # +0.0, not -0.0, for a product
 
 
 # The measures as columns: name -> (what it needs, test on dims, column
 # function).  A column function maps a (B, d, d) stack, its coherence vectors
-# and its correlation tensors (see bloch.decompose_stack) to B values.  The
-# sector norms ec, ed and ee are the only code for E_C, E_D and E_E: the e_*
-# functions call them on one state's tensors.  Concurrence and entropy go
-# state by state, through the scalar functions, and raise MixedStateError on a
-# mixed state.  A row's test is the only statement of where its quantity is
-# defined: the scalar functions apply it through bloch.require_column.
+# and its correlation tensors (see bloch.decompose_stack) to B values.  Each
+# column is the only code for its quantity: the scalar functions call it on
+# one state, through _one.  The sector norms ec, ed and ee read the tensors;
+# concurrence and entropy read the stack's party-A marginals and raise
+# MixedStateError if any state of the stack is mixed.  A row's test is the
+# only statement of where its quantity is defined: the scalar functions apply
+# it through bloch.require_column.
 COLUMNS = {
     "ec": ("two parties or three or more equal-dimension parties",
            lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
@@ -130,8 +130,10 @@ COLUMNS = {
     "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
            _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
     "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
-    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(concurrence_pure)),
-    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, _per_state(entanglement_entropy)),
+    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, lambda dims, mats, vectors, sectors:
+                    np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", dims, mats)))))),
+    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, lambda dims, mats, vectors, sectors:
+                _entropy_bits(_pure_marginals("entanglement entropy", dims, mats))),
 }
 
 # MeasureSet field of each column

@@ -79,6 +79,21 @@ class TestBipartite:
         with pytest.raises(ValueError, match=rf"parties \({i}, {j}\) must both be in 0\.\.1"):
             dec.pair(i, j)
 
+    def test_pair_missing_from_hand_built_decomposition_is_zero(self):
+        # reconstruct counts a missing tensor as zero; pair reads it the same way
+        z = np.zeros(3)
+        dec = BlochDecomposition((2, 2, 3), (z, z, np.zeros(8)), {})
+        for i, j, shape in [(0, 1, (3, 3)), (2, 0, (8, 3))]:
+            c = dec.pair(i, j)
+            assert c.shape == shape and not c.any()
+            with pytest.raises(ValueError, match="read-only"):
+                c[0, 0] = 1.0
+
+    def test_pair_non_integer_party_rejected(self, rng):
+        dec = decompose(rand_state((2, 2), rng))
+        with pytest.raises(TypeError, match="integer"):
+            dec.pair(0.5, 1)
+
 
 class TestTripartite:
     def test_product_state_has_no_correlations(self, rng):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
-from mpcorr.bloch import decompose
+from mpcorr.bloch import BlochDecomposition, decompose
 from mpcorr.classify import (Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
                              correlation_spectrum, ph_condition_explicit,
@@ -181,6 +181,13 @@ class TestPHInvariants:
     def test_non_two_qubit_rejected(self, rng):
         with pytest.raises(ValueError, match="two-qubit state"):
             ph_invariants(decompose(rand_state((3, 3), rng)))
+
+    def test_hand_built_decomposition_without_c(self):
+        # a missing C counts as zero, as in reconstruct: xi = Tr C - 0 = 0
+        v = np.full(3, 0.1)
+        inv = ph_invariants(BlochDecomposition((2, 2), (v, v), {}))
+        assert (inv.xi, inv.na_dot_c_nb) == (0.0, 0.0)
+        assert inv.na_dot_nb == pytest.approx(0.03, abs=1e-15)
 
 
 class TestPHExplicit:

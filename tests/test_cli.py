@@ -347,13 +347,17 @@ class TestSweep:
                               "--outputs", "negativity"], capsys)
         assert code == 4
 
-    def test_structurally_invalid_output_exit_4(self, capsys):
-        # concurrence of a mixed family is rejected before writing anything
-        code, _, err = run_cli(["sweep", "--family", "generalized-werner",
-                                "--param", "p=0.5:0.5:1", "--param", "theta=0:0:1",
-                                "--outputs", "concurrence"], capsys)
-        assert code == 4
-        assert "pure" in err
+    def test_structurally_invalid_output_exit_4(self, tmp_path, capsys):
+        # concurrence of a mixed family is rejected before writing anything,
+        # also when the grid's first point (p = 1) is pure and its second is not
+        for p in ("p=0.5:0.5:1", "p=1:0:3"):
+            out = tmp_path / "concurrence.csv"
+            code, _, err = run_cli(["sweep", "--family", "generalized-werner",
+                                    "--param", p, "--param", "theta=0:0:1",
+                                    "--outputs", "concurrence", "--output", str(out)], capsys)
+            assert code == 4
+            assert err == "error: concurrence is defined for pure states only (Tr rho^2 = 0.437500000)\n"
+            assert not out.exists()
 
     def test_xi_nanb_outputs(self, tmp_path, capsys):
         out = tmp_path / "xi.csv"

@@ -1,8 +1,10 @@
 """The classification and measure columns, and the spectral PH test, held to
-the brute-force oracle of helpers.py: an index-loop partial transpose and
-kron-product expectation values.  The scalar functions are the one-state case
-of the columns, so comparing the two no longer checks the arithmetic; this
-test does, on stacks of random, product and classically correlated states."""
+the brute-force oracle of helpers.py: an index-loop partial transpose, a
+partial trace by np.trace and kron-product expectation values.  Every scalar
+function is the one-state case of its column, so comparing the two no longer
+checks the arithmetic; these tests do, on stacks of random, product and
+classically correlated states, and for concurrence and entropy, which are
+defined on pure states only, on stacks of pure random and pure product states."""
 
 import math
 from itertools import combinations
@@ -19,11 +21,9 @@ from mpcorr import classify, measures
 from mpcorr.bloch import decompose_stack
 from mpcorr.classify import BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL, ph_test
 from mpcorr.density import DensityMatrix
+from mpcorr.measures import MixedStateError
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
-
-# the state-by-state columns, which call the scalar functions themselves
-PER_STATE = {"concurrence", "entropy"}
 
 
 def product_state(dims, rng, rank):
@@ -68,7 +68,11 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
     mats = np.stack([noisy, product_state(dims, rng, rank), classical, (1 - 1e-11) * classical + 1e-11 * noisy])
     vectors, sectors = decompose_stack(dims, mats)
     columns = {name: column for name, (_, applies, column) in {**measures.COLUMNS, **classify.COLUMNS}.items()
-               if applies(dims) and name not in PER_STATE}
+               if applies(dims)}
+    if len(dims) == 2:      # the stack holds mixed states, which the pure-state rows refuse
+        for name in ("concurrence", "entropy"):
+            with pytest.raises(MixedStateError, match="defined for pure states only"):
+                columns.pop(name)(dims, mats, vectors, sectors)
     for b, mat in enumerate(mats):
         want = oracle_columns(mat, dims)
         assert set(columns) == set(want) - {"pt_min"}
@@ -80,3 +84,20 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
                 assert got == want[name], (name, b)
             else:
                 assert got == pytest.approx(want[name], rel=1e-10, abs=1e-12, nan_ok=True), (name, b)
+
+
+@pytest.mark.parametrize("dims", [dims for dims in SHAPES if len(dims) == 2], ids=lambda dims: "x".join(map(str, dims)))
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_pure_state_columns_match_oracle(dims, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([random_density_mat(math.prod(dims), rng, rank=1), product_state(dims, rng, 1)])
+    vectors, sectors = decompose_stack(dims, mats)
+    concurrence = np.asarray(measures.COLUMNS["concurrence"][2](dims, mats, vectors, sectors))
+    entropy = np.asarray(measures.COLUMNS["entropy"][2](dims, mats, vectors, sectors))
+    for b, mat in enumerate(mats):
+        marginal = oracle_ptrace(mat, dims, [0])
+        # C^2 / 2 = 1 - Tr rho_A^2; C itself is the square root of roundoff on a product
+        assert concurrence[b] ** 2 / 2 == pytest.approx(1 - np.trace(marginal @ marginal).real, abs=1e-12)
+        mu = np.linalg.eigvalsh(marginal)
+        assert entropy[b] == pytest.approx(-sum(m * math.log2(m) for m in mu if m > 1e-15), rel=1e-10, abs=1e-12)

@@ -94,6 +94,19 @@ class TestValidate:
         assert not isinstance(err.value, StateValidationError)
 
 
+@pytest.mark.parametrize("build", [lambda m: DensityMatrix((2, 2), m), lambda m: validate(m, (2, 2))],
+                         ids=["DensityMatrix", "validate"])
+def test_state_owns_its_matrix(build):
+    # the caller's array stays writeable, and writing to it (or to the array
+    # it is a view of) leaves the state unchanged
+    big = np.stack([np.eye(4, dtype=complex) / 4, dm_of(PSI_MINUS)])
+    rho = build(big[0])
+    assert big.flags.writeable and rho.matrix.flags.owndata and not rho.matrix.flags.writeable
+    big[0] = dm_of(PHI_PLUS)
+    assert purity(rho) == pytest.approx(0.25, abs=1e-15)
+    assert np.array_equal(rho.matrix, np.eye(4) / 4)
+
+
 class TestTensor:
     def test_basis_states(self):
         a = DensityMatrix((2,), np.diag([1.0, 0.0]))
