@@ -15,12 +15,14 @@ family/sweep spec.  :func:`main` alone maps failures to these codes; every
 failure prints one line to stderr (the residual object for 2), never a
 traceback, and writes no output file.
 
-Output is deterministic: floats are serialized as Python's shortest
-round-trip decimals, CSV uses comma separators and LF line endings, and sweep
-rows follow the declared parameter-grid order.  A sweep evaluates its grid in
-one thread, as stacks of at most SWEEP_CHUNK states; each cell depends on its
-own point only, so the bytes do not depend on how the grid is split into
-chunks or into commands.
+The families, their parameters and their states come from the one table in
+:mod:`families`; this module names no family.  Output is deterministic:
+floats are serialized as Python's shortest round-trip decimals, CSV uses
+comma separators and LF line endings, and sweep rows follow the declared
+parameter-grid order.  A sweep evaluates its grid in one thread, as stacks of
+at most SWEEP_CHUNK states from :func:`families.family_stacks`; each cell
+depends on its own point only, so the bytes do not depend on how the grid is
+split into chunks or into commands.
 """
 
 import argparse
@@ -33,10 +35,11 @@ from math import prod
 
 import numpy as np
 
-from . import classify, families, measures
+from . import classify, measures
 from .bloch import decompose, decompose_stack, require_column
 from .classify import classify_two_qubit
 from .density import DensityMatrix, StateValidationError, purity, state_from_json_dict, state_to_json_dict
+from .families import FAMILY_BUILDERS, build_family, family_row, family_stacks
 from .measures import measure_set
 
 EXIT_OK = 0
@@ -44,23 +47,6 @@ EXIT_PARSE = 1
 EXIT_VALIDATION = 2
 EXIT_UNSUPPORTED_SHAPE = 3
 EXIT_BAD_SPEC = 4
-
-# name -> (scalar builder, parameter names, array form): None, or a function
-# from one array per parameter to a (B, d, d) stack and the family's dims.
-FAMILY_BUILDERS = {
-    "bell": (families.bell, {"which"}, None),
-    "rashid": (families.rashid, {"theta"}, (families.rashid_states, (2, 2))),
-    "cc-mixture": (families.cc_mixture, {"terms"}, None),
-    "generalized-werner": (families.generalized_werner, {"p", "theta"},
-                           (families.generalized_werner_states, (2, 2))),
-    "ghz": (families.ghz, {"parties", "level"}, None),
-    "tripartite-qutrit-e3": (families.tripartite_qutrit_e3, {"theta1", "theta2"},
-                             (families.tripartite_qutrit_e3_states, (3, 3, 3))),
-}
-
-# Families whose parameters are not numbers (a Bell state name, a list of
-# mixture terms), so no --param grid can sweep them.
-UNSWEEPABLE = frozenset({"bell", "cc-mixture"})
 
 SWEEP_CHUNK = 1024                      # grid points per stack of states
 
@@ -71,28 +57,6 @@ OUTPUTS = {**measures.COLUMNS, **classify.COLUMNS}
 
 class InputError(ValueError):
     """The command line or an input file could not be parsed (exit 1)."""
-
-
-def _call_builder(name: str, builder, params: dict):
-    try:
-        return builder(**params)
-    except (TypeError, ArithmeticError) as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
-
-
-def _builder(name: str, params):
-    """The scalar builder of a family, after checking the parameter names."""
-    if name not in FAMILY_BUILDERS:
-        raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
-    builder, allowed, _ = FAMILY_BUILDERS[name]
-    unknown = set(params) - allowed
-    if unknown:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(allowed)}")
-    return builder
-
-
-def build_family(name: str, params: dict) -> DensityMatrix:
-    return _call_builder(name, _builder(name, params), params)
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -200,20 +164,6 @@ def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
     return name, np.linspace(start, stop, count)
 
 
-def _state_stacks(family: str, params: dict[str, np.ndarray]):
-    """(indices, dims, (B, d, d) stack) per party structure of the states at
-    the points ``params``; a family without an array form goes point by point."""
-    builder, _, stacked = FAMILY_BUILDERS[family]
-    if stacked is not None:
-        states, dims = stacked
-        return [(slice(None), dims, _call_builder(family, states, params))]
-    groups: dict[tuple[int, ...], list] = {}
-    for i, values in enumerate(zip(*params.values())):
-        rho = _call_builder(family, builder, dict(zip(params, values)))
-        groups.setdefault(rho.dims, []).append((i, rho.matrix))
-    return [([i for i, _ in group], dims, np.stack([m for _, m in group])) for dims, group in groups.items()]
-
-
 def _sweep_rows(family: str, grids, outputs) -> list[str]:
     """CSV rows of the grid in row-major order, SWEEP_CHUNK points at a time."""
     points = product(*[vals for _, vals in grids])
@@ -221,7 +171,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
     for _ in range(0, prod(len(vals) for _, vals in grids), SWEEP_CHUNK):
         chunk = np.array(list(islice(points, SWEEP_CHUNK)))
         cells = np.empty((len(chunk), len(outputs)), dtype=object)
-        for idx, dims, mats in _state_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
+        for idx, dims, mats in family_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
             vectors, sectors = decompose_stack(dims, mats)
             for j, name in enumerate(outputs):
                 column = require_column(OUTPUTS, name, dims)
@@ -232,15 +182,15 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
 
 
 def cmd_sweep(args) -> None:
-    if args.family in UNSWEEPABLE:
-        raise ValueError(f"family {args.family!r} cannot be swept: its parameters are not numbers")
+    if args.family in FAMILY_BUILDERS:          # name an unsweepable family before reading its grids
+        family_row(args.family, sweep=True)
     grids = [_parse_grid(spec) for spec in args.param or []]
     if not grids:
         raise ValueError("sweep needs at least one --param grid")
     names = [name for name, _ in grids]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate parameter names in {names}")
-    _builder(args.family, names)
+    family_row(args.family, names, sweep=True)
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
     if not outputs:
         raise ValueError("sweep needs at least one output")

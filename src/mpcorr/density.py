@@ -221,7 +221,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     original tensor order.
     """
     n = rho.num_parties
-    kept = sorted(set(int(i) for i in keep))
+    kept = sorted(set(operator.index(i) for i in keep))
     if not kept:
         raise ValueError("keep set is empty")
     if kept[0] < 0 or kept[-1] >= n:
@@ -238,7 +238,7 @@ def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:
     negative eigenvalue certifies entanglement across the party cut.
     """
     n = rho.num_parties
-    party = int(party)
+    party = operator.index(party)
     if party < 0 or party >= n:
         raise ValueError(f"party index {party} out of range for {n} parties")
     return HermitianOperator(rho.dims, _partial_transpose(rho.dims, rho.matrix, party))

@@ -1,12 +1,9 @@
-"""Named state families: Bell pairs, Rashid tilted pairs, classically
-correlated qubit mixtures, generalized Werner states, GHZ states, and the
-three-parameter tripartite qutrit superposition.
-
-These constructors are the stable vocabulary of the sweep CLI; every output
-is a valid DensityMatrix.  The ``*_states`` forms take arrays of parameters
-and return a (B, d, d) stack; the scalar constructor of the same family is
-their one-point case.  An overflow, in an exponential or in the Bloch norms
-and weights of a mixture, raises FloatingPointError.
+"""Named state families and FAMILY_BUILDERS, the one table of them, which
+the CLI reads: build_family builds a family at one point and family_stacks at
+the points of a sweep.  Every output is a valid DensityMatrix.  The
+``*_states`` forms take arrays of parameters and return a (B, d, d) stack; the
+scalar constructor is their one-point case.  An overflow, in an exponential or
+in the Bloch norms and weights of a mixture, raises FloatingPointError.
 """
 
 from math import sqrt
@@ -112,17 +109,23 @@ def _whole(name: str, value) -> int:
 
 
 def ghz(parties: int = 3, level: int = 2) -> DensityMatrix:
-    """Equal superposition of |i i ... i> over all levels i, for 3 or 4
-    parties of 2 or 3 levels (4 parties: qubits only)."""
-    parties = _whole("parties", parties)
-    level = _whole("level", level)
-    if (parties, level) not in [(3, 2), (3, 3), (4, 2)]:
-        raise ValueError(f"supported (parties, level): (3,2), (3,3), (4,2); got ({parties}, {level})")
-    dims = (level,) * parties
+    """Equal superposition of |i i ... i> over all levels i, for parties >= 2
+    and level >= 2 with level**parties <= 256 (up to eight qubits)."""
+    parties, level = _whole("parties", parties), _whole("level", level)
+    if not (2 <= parties <= 8 and 2 <= level and level ** parties <= 256):  # bounds parties before the power
+        raise ValueError(f"ghz needs parties, level >= 2 with level**parties <= 256, got ({parties}, {level})")
     vec = np.zeros(level ** parties, dtype=complex)
-    stride = (level ** parties - 1) // (level - 1)
-    vec[::stride] = 1.0 / sqrt(level)
-    return from_pure(vec, dims)
+    vec[::(level ** parties - 1) // (level - 1)] = 1.0 / sqrt(level)        # at |0...0>, |1...1>, ...
+    return from_pure(vec, (level,) * parties)
+
+
+def _ghz_groups(**params):
+    """:func:`ghz` over arrays of parameters, one group per distinct point."""
+    groups: dict[tuple, list[int]] = {}
+    for i, point in enumerate(zip(*params.values())):
+        groups.setdefault(point, []).append(i)
+    states = [(idx, ghz(**dict(zip(params, point)))) for point, idx in groups.items()]
+    return [(idx, rho.dims, np.repeat(rho.matrix[None], len(idx), axis=0)) for idx, rho in states]
 
 
 def tripartite_qutrit_e3(theta1: float, theta2: float) -> DensityMatrix:
@@ -139,3 +142,50 @@ def tripartite_qutrit_e3_states(theta1, theta2) -> np.ndarray:
     with np.errstate(over="raise", invalid="ignore"):
         vec[:, 0], vec[:, 13], vec[:, 26] = np.exp(t1 + t2), np.exp(-t1), np.exp(-t2)
     return pure_states(vec)
+
+
+def _one_group(states, dims):
+    return lambda **params: [(slice(None), dims, states(**params))]
+
+
+# name -> (scalar builder, parameter names, stack function): a function from
+# one array per parameter to the (indices, dims, (B, d, d) stack) groups of the
+# points, or None where the parameters are not numbers, so no grid sweeps them.
+FAMILY_BUILDERS = {
+    "bell": (bell, {"which"}, None),
+    "rashid": (rashid, {"theta"}, _one_group(rashid_states, (2, 2))),
+    "cc-mixture": (cc_mixture, {"terms"}, None),
+    "generalized-werner": (generalized_werner, {"p", "theta"}, _one_group(generalized_werner_states, (2, 2))),
+    "ghz": (ghz, {"parties", "level"}, _ghz_groups),
+    "tripartite-qutrit-e3": (tripartite_qutrit_e3, {"theta1", "theta2"},
+                             _one_group(tripartite_qutrit_e3_states, (3, 3, 3))),
+}
+
+
+def family_row(name: str, params=(), sweep: bool = False) -> tuple:
+    """A family's row, after checking its name, its stack function if ``sweep``, and ``params``."""
+    if name not in FAMILY_BUILDERS:
+        raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
+    row = FAMILY_BUILDERS[name]
+    if sweep and row[2] is None:
+        raise ValueError(f"family {name!r} cannot be swept: its parameters are not numbers")
+    if unknown := set(params) - row[1]:
+        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(row[1])}")
+    return row
+
+
+def _call(name: str, function, params: dict):
+    try:
+        return function(**params)
+    except (TypeError, ArithmeticError) as exc:
+        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
+
+
+def build_family(name: str, params: dict) -> DensityMatrix:
+    """A family's state at one point, from its scalar builder."""
+    return _call(name, family_row(name, params)[0], params)
+
+
+def family_stacks(name: str, params: dict) -> list:
+    """(indices, dims, (B, d, d) stack) groups of a family's states at ``params``, one array each."""
+    return _call(name, family_row(name, params, sweep=True)[2], params)

@@ -493,16 +493,18 @@ class TestBatchedSweep:
         assert not out.exists()
 
     def test_family_changing_party_count_keeps_every_row(self, tmp_path, capsys):
-        from mpcorr import decompose, e_c_multipartite, ghz
-        code, out, _ = run_cli(["sweep", "--family", "ghz", "--param", "parties=3:4:2",
-                                "--param", "level=2:2:1", "--outputs", "ec"], capsys)
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "parties,level,ec"
-        assert [line.split(",")[:2] for line in lines[1:]] == [["3.0", "2.0"], ["4.0", "2.0"]]
-        for line, parties in zip(lines[1:], (3, 4)):
-            assert float(line.split(",")[2]) == pytest.approx(e_c_multipartite(decompose(ghz(parties, 2))),
-                                                              abs=1e-14)
+        from mpcorr import decompose, ghz
+        for grid, counts in (("parties=3:4:2", (3, 4)), ("parties=2:5:4", (2, 3, 4, 5))):
+            code, out, _ = run_cli(["sweep", "--family", "ghz", "--param", grid,
+                                    "--param", "level=2:2:1", "--outputs", "ec"], capsys)
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == "parties,level,ec"
+            assert [line.split(",")[:2] for line in lines[1:]] == [[f"{n}.0", "2.0"] for n in counts]
+            for line, parties in zip(lines[1:], counts):
+                rho = ghz(parties, 2)
+                assert float(line.split(",")[2]) == pytest.approx(SCALAR_OUTPUTS["ec"](rho, decompose(rho)),
+                                                                  abs=1e-14)
 
     def test_output_needing_other_shape_exit_4(self, capsys):
         code, _, err = run_cli(["sweep", "--family", "tripartite-qutrit-e3", "--param", "theta1=0:1:2",
@@ -640,10 +642,13 @@ class TestExitCodes:
             assert result.returncode == want
             assert "Traceback" not in result.stderr
 
-    @pytest.mark.parametrize("family,grid", [("bell", "which=0:1:2"), ("cc-mixture", "terms=0:1:2")])
+    # with no grid at all, the family is still named first
+    @pytest.mark.parametrize("family,grid", [("bell", "which=0:1:2"), ("cc-mixture", "terms=0:1:2"),
+                                             ("bell", None), ("cc-mixture", None)])
     def test_unsweepable_family_exit_4(self, family, grid, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
-        code, stdout, err = run_cli(["sweep", "--family", family, "--param", grid, "--outputs", "ec",
+        params = ["--param", grid] if grid else []
+        code, stdout, err = run_cli(["sweep", "--family", family, *params, "--outputs", "ec",
                                      "--output", str(out)], capsys)
         assert code == 4
         assert one_error_line(stdout, err)

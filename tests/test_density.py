@@ -195,6 +195,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="range"):
             partial_trace(rho, [2])
 
+    def test_fractional_index_rejected(self):
+        # int() would read 0.5 as party 0 and return the singlet's marginal
+        with pytest.raises(TypeError):
+            partial_trace(tensor(from_pure(PSI_MINUS, (2, 2)), from_pure([1, 0], (2,))), [0.5])
+
+    def test_string_index_rejected(self):
+        with pytest.raises(TypeError):
+            partial_trace(tensor(from_pure(PSI_MINUS, (2, 2)), from_pure([1, 0], (2,))), ["1"])
+
 
 class TestPartialTranspose:
     def test_product_state_stays_psd(self, rng):
@@ -225,6 +234,11 @@ class TestPartialTranspose:
         rho = DensityMatrix((2, 2), random_density_mat(4, rng))
         with pytest.raises(ValueError, match="range"):
             partial_transpose(rho, 5)
+
+    def test_fractional_party_rejected(self):
+        # int() would read 1.7 as party 1
+        with pytest.raises(TypeError):
+            partial_transpose(from_pure([1, 0, 0, 1], (2, 2)), 1.7)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -5,12 +5,14 @@ import pytest
 
 from helpers import SX, SY, SZ, kron_all, random_bloch
 
+import mpcorr.cli
+from mpcorr import families
 from mpcorr.bloch import decompose
 from mpcorr.classify import correlation_spectrum, ph_test
 from mpcorr.density import partial_transpose, validate
-from mpcorr.families import (BELL_VECTORS, bell, cc_mixture,
-                             generalized_werner, ghz, rashid,
-                             tripartite_qutrit_e3)
+from mpcorr.families import (BELL_VECTORS, FAMILY_BUILDERS, bell, cc_mixture,
+                             family_row, family_stacks, generalized_werner,
+                             ghz, rashid, tripartite_qutrit_e3)
 from mpcorr.measures import e_c_bipartite, e_d
 
 BELL_C_DIAGONALS = {
@@ -165,15 +167,28 @@ class TestGHZ:
         dec = decompose(ghz(4, 2))
         assert dec.correlations[(0, 1, 2, 3)][0, 0, 0, 0] == pytest.approx(1.0, abs=1e-13)
 
-    @pytest.mark.parametrize("parties,level", [(2, 2), (4, 3), (5, 2), (3, 4)])
-    def test_unsupported_sizes(self, parties, level):
-        with pytest.raises(ValueError, match="supported"):
+    # unchecked, (30, 2) would allocate 2**30 amplitudes (16 GiB); the message
+    # shows that the bound is checked before any vector is sized
+    @pytest.mark.parametrize("parties,level", [(1, 2), (2, 1), (9, 2), (2, 17), (6, 3), (30, 2), (10 ** 6, 2)])
+    def test_refused_sizes(self, parties, level):
+        with pytest.raises(ValueError, match=r"level\*\*parties <= 256"):
             ghz(parties, level)
 
     def test_outputs_valid(self):
-        for parties, level in [(3, 2), (3, 3), (4, 2)]:
+        allowed = [(p, n) for p in range(2, 9) for n in range(2, 17) if n ** p <= 256]
+        assert len(allowed) == 28
+        for parties, level in allowed:
             rho = ghz(parties, level)
+            assert rho.dims == (level,) * parties
             validate(rho.matrix, rho.dims)
+
+    def test_two_qubits_is_phi_plus(self):
+        assert np.array_equal(ghz(2, 2).matrix, bell("phi+").matrix)
+
+    @pytest.mark.parametrize("level", [2, 3, 4])
+    def test_two_parties_unit_e_c(self, level):
+        rho = ghz(2, level)
+        assert e_c_bipartite(decompose(rho).pair(0, 1), rho.dims) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_every_family_output_is_a_valid_state(rng):
@@ -213,3 +228,48 @@ class TestTripartiteQutrit:
         for t1, t2 in [(0.0, 0.0), (-2.0, 2.0), (1.0, 1.0)]:
             rho = tripartite_qutrit_e3(t1, t2)
             validate(rho.matrix, (3, 3, 3))
+
+
+# points at which each stack function is held to its scalar builder
+STACK_POINTS = {
+    "rashid": {"theta": np.linspace(-3, 3, 7)},
+    "generalized-werner": {"p": np.repeat(np.linspace(0, 1, 5), 3), "theta": np.tile([-1.5, 0.0, 0.4], 5)},
+    "ghz": {"parties": np.array([3.0, 2.0, 3.0, 5.0, 2.0]), "level": np.array([2.0, 2.0, 2.0, 2.0, 4.0])},
+    "tripartite-qutrit-e3": {"theta1": np.array([0.0, -1.0, 0.7, 2.0]), "theta2": np.array([0.0, -1.0, -0.3, 1.5])},
+}
+
+
+class TestFamilyTable:
+    def test_every_numeric_family_has_points(self):
+        assert set(STACK_POINTS) == {name for name, row in FAMILY_BUILDERS.items() if row[2] is not None}
+
+    @pytest.mark.parametrize("name", sorted(STACK_POINTS))
+    def test_stacks_equal_scalar_builder_bit_for_bit(self, name):
+        params = STACK_POINTS[name]
+        size = len(next(iter(params.values())))
+        seen = []
+        for idx, dims, mats in family_stacks(name, params):
+            positions = np.arange(size)[idx].tolist()
+            assert mats.shape[0] == len(positions)
+            for k, i in enumerate(positions):
+                rho = FAMILY_BUILDERS[name][0](**{key: values[i] for key, values in params.items()})
+                assert rho.dims == dims
+                assert np.array_equal(mats[k], rho.matrix)
+            seen += positions
+        assert sorted(seen) == list(range(size))
+
+    def test_ghz_groups_keep_point_order(self):
+        groups = family_stacks("ghz", {"parties": np.array([3.0, 2.0, 3.0, 5.0]), "level": np.full(4, 2.0)})
+        assert [(idx, dims) for idx, dims, _ in groups] == [([0, 2], (2, 2, 2)), ([1], (2, 2)), ([3], (2,) * 5)]
+
+    @pytest.mark.parametrize("name", ["bell", "cc-mixture"])
+    def test_non_numeric_families_have_no_stack_function(self, name):
+        assert FAMILY_BUILDERS[name][2] is None
+        with pytest.raises(ValueError, match=f"{name!r} cannot be swept"):
+            family_row(name, sweep=True)
+
+    def test_table_is_the_one_the_cli_and_bench_read(self):
+        # bench/run.py replays cli.FAMILY_BUILDERS[family][0] by name from families
+        assert mpcorr.cli.FAMILY_BUILDERS is FAMILY_BUILDERS
+        for builder, _, _ in FAMILY_BUILDERS.values():
+            assert getattr(families, builder.__name__) is builder
