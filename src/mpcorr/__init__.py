@@ -13,8 +13,7 @@ from .density import (DensityMatrix, HermitianOperator, NotHermitianError,
                       partial_transpose, purity, state_from_json_dict,
                       state_to_json_dict, tensor, validate)
 from .exchange import (ExchangeProjection, NullProjectionError,
-                       antisymmetrizer_two_qubit, project_exchange,
-                       symmetrizer_two_qubit)
+                       exchange_projector, project_exchange)
 from .families import (bell, cc_mixture, generalized_werner, ghz, rashid,
                        tripartite_qutrit_e3)
 from .measures import (MeasureSet, MixedStateError, concurrence_pure,
@@ -32,14 +31,14 @@ __all__ = [
     "HermitianOperator", "MeasureSet", "MixedStateError", "NotHermitianError",
     "NotPSDError", "NullProjectionError", "PHInvariants", "PHVerdict",
     "StateValidationError", "TraceNotOneError",
-    "antisymmetrizer_two_qubit", "bell", "cc_mixture", "classify_two_qubit",
+    "bell", "cc_mixture", "classify_two_qubit",
     "coherence_vector", "concurrence_pure", "correlation_spectrum",
     "decompose", "e_c_bipartite", "e_c_multipartite", "e_d", "e_e",
-    "entanglement_entropy", "from_pure", "gell_mann_basis",
-    "generalized_werner", "ghz", "is_pure", "measure_set", "mix",
-    "partial_trace", "partial_transpose", "pauli_basis",
+    "entanglement_entropy", "exchange_projector", "from_pure",
+    "gell_mann_basis", "generalized_werner", "ghz", "is_pure", "measure_set",
+    "mix", "partial_trace", "partial_transpose", "pauli_basis",
     "ph_condition_explicit", "ph_invariants", "ph_test", "ph_test_signflip",
     "project_exchange", "purity", "rashid", "reconstruct",
-    "state_from_json_dict", "state_to_json_dict", "symmetrizer_two_qubit",
+    "state_from_json_dict", "state_to_json_dict",
     "tensor", "tripartite_qutrit_e3", "validate", "verify_basis",
 ]

@@ -46,15 +46,15 @@ from .su_basis import gell_mann_basis
 IMAG_TOL = 1e-12
 
 
-def _real_within(arr: np.ndarray, what: str, tol: float = IMAG_TOL) -> np.ndarray:
+def _real_within(arr: np.ndarray, what: str) -> np.ndarray:
     """Drop an imaginary part that is guaranteed zero analytically; a large
     residue means a bug upstream, not data to keep."""
     arr = np.asarray(arr)
     if not np.iscomplexobj(arr):
         return arr.astype(float)
     resid = float(np.abs(arr.imag).max()) if arr.size else 0.0
-    if resid > tol:
-        raise ValueError(f"{what} has imaginary residue {resid:.3e} (tolerance {tol:.1e})")
+    if resid > IMAG_TOL:
+        raise ValueError(f"{what} has imaginary residue {resid:.3e} (tolerance {IMAG_TOL:.1e})")
     out = arr.real.copy()
     out.setflags(write=False)
     return out

@@ -258,9 +258,9 @@ def _fail(exc: Exception, code: int) -> int:
 def main(argv=None) -> int:
     """Run one command and return its exit code.  Each failure is reported
     as one ``error:`` line on stderr: a usage error, an input file that does
-    not parse and a file that cannot be opened give 1; any other TypeError
-    or ValueError gives the command's failure code.  A state that fails
-    validation gives 2, with its residual as a JSON object instead."""
+    not parse and a file that cannot be opened give 1; any other TypeError,
+    ValueError or MemoryError gives the command's failure code.  A state
+    that fails validation gives 2, with its residual as a JSON object."""
     code = EXIT_PARSE
     try:
         args = build_parser().parse_args(argv)
@@ -273,7 +273,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (InputError, OSError) as exc:
         return _fail(exc, EXIT_PARSE)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         return _fail(exc, code)
     return EXIT_OK
 

@@ -1,9 +1,10 @@
-"""Two-qubit exchange symmetry: the symmetrizing/antisymmetrizing projectors
-(1 +- P_AB)/2 and projections of states onto the triplet/singlet sectors.
+"""Exchange symmetry of two identical n-level parties: the projectors
+(1 +- S)/2, with S the party swap, onto the symmetric and antisymmetric
+sectors of dimensions n(n+1)/2 and n(n-1)/2, and projections of states.
 
-The antisymmetric sector of two qubits is one-dimensional, so any state's
-antisymmetric projection renormalizes to the pure singlet; the symmetric
-projection can stay mixed.
+For two qubits the antisymmetric sector is one-dimensional, so any state's
+antisymmetric projection renormalizes to the pure singlet; for n >= 3 it can
+be mixed, as the symmetric projection can be for every n.
 """
 
 from dataclasses import dataclass
@@ -11,15 +12,9 @@ from typing import Literal
 
 import numpy as np
 
-from .density import DensityMatrix, HermitianOperator
+from .density import DensityMatrix, HermitianOperator, _dims
 
 NULL_PROJECTION_TOL = 1e-12
-
-_SWAP = np.array(
-    [[1, 0, 0, 0],
-     [0, 0, 1, 0],
-     [0, 1, 0, 0],
-     [0, 0, 0, 1]], dtype=complex)
 
 ExchangeKind = Literal["symmetric", "antisymmetric"]
 
@@ -39,15 +34,16 @@ class ExchangeProjection:
     weight: float
 
 
-def symmetrizer_two_qubit() -> HermitianOperator:
-    """Projector (1 + P_AB)/2 onto the triplet (exchange-symmetric) sector."""
-    return HermitianOperator((2, 2), (np.eye(4) + _SWAP) / 2.0)
-
-
-def antisymmetrizer_two_qubit() -> HermitianOperator:
-    """Projector (1 - P_AB)/2 onto the singlet (exchange-antisymmetric)
-    sector; equals |psi-><psi-|."""
-    return HermitianOperator((2, 2), (np.eye(4) - _SWAP) / 2.0)
+def exchange_projector(n: int, kind: ExchangeKind) -> HermitianOperator:
+    """Projector (1 + S)/2 ("symmetric") or (1 - S)/2 ("antisymmetric") on
+    two n-level parties, where S|i j> = |j i> is the identity with its party
+    indices swapped.  For two qubits the antisymmetric one is |psi-><psi-|."""
+    n = _dims((n, n))[0]
+    if kind not in ("symmetric", "antisymmetric"):
+        raise ValueError(f"kind must be 'symmetric' or 'antisymmetric', got {kind!r}")
+    eye = np.eye(n * n)
+    swap = np.eye(n * n, dtype=complex).reshape(n, n, n * n).swapaxes(0, 1).reshape(n * n, n * n)
+    return HermitianOperator((n, n), (eye + swap if kind == "symmetric" else eye - swap) / 2.0)
 
 
 def project_exchange(rho: DensityMatrix, kind: ExchangeKind) -> ExchangeProjection:
@@ -56,14 +52,9 @@ def project_exchange(rho: DensityMatrix, kind: ExchangeKind) -> ExchangeProjecti
     Raises NullProjectionError when the sector weight is below 1e-12 (for
     example, antisymmetrizing a pure triplet state).
     """
-    if rho.dims != (2, 2):
-        raise ValueError(f"exchange projection supports two qubits only, got dims {rho.dims}")
-    if kind == "symmetric":
-        proj = symmetrizer_two_qubit().matrix
-    elif kind == "antisymmetric":
-        proj = antisymmetrizer_two_qubit().matrix
-    else:
-        raise ValueError(f"kind must be 'symmetric' or 'antisymmetric', got {kind!r}")
+    if len(rho.dims) != 2 or rho.dims[0] != rho.dims[1]:
+        raise ValueError(f"exchange projection needs two parties of one dimension, got dims {rho.dims}")
+    proj = exchange_projector(rho.dims[0], kind).matrix
     raw = proj @ rho.matrix @ proj
     weight = float(np.trace(raw).real)
     if weight <= NULL_PROJECTION_TOL:

@@ -655,6 +655,16 @@ class TestExitCodes:
         assert f"{family!r} cannot be swept" in err
         assert not out.exists()
 
+    def test_unallocatable_grid_exit_4(self, tmp_path, capsys):
+        # 10**15 float64 grid values need 8 PB, beyond any 64-bit address space,
+        # so numpy raises MemoryError before it touches memory
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(["sweep", "--family", "rashid", "--param", "theta=0:1:1000000000000000",
+                                     "--outputs", "ec", "--output", str(out)], capsys)
+        assert code == 4
+        assert one_error_line(stdout, err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["decompose", "measure", "classify"])
     @pytest.mark.parametrize("text", [
         '{"dims": null, "pure": [[1, 0], [0, 0]]}',
