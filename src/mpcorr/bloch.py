@@ -99,7 +99,7 @@ def _augmented(n: int) -> tuple[np.ndarray, np.ndarray]:
     maps (row, col) of rho to m by A_m[col, row], so its products give
     Tr(rho A_m); inverse maps m back to (row, col) by the dual basis
     A_m / Tr(A_m^2), the weights 1/n for the identity and 1/2 for a generator."""
-    aug = np.concatenate([np.eye(n, dtype=complex)[None], gell_mann_basis(n).generators])
+    aug = np.concatenate([np.eye(n, dtype=complex)[None], gell_mann_basis(n)])
     norms = np.array([n] + [2] * (n * n - 1), dtype=float)
     forward = aug.transpose(2, 1, 0).reshape(n * n, n * n)
     inverse = (aug / norms[:, None, None]).reshape(n * n, n * n)

@@ -60,15 +60,22 @@ class InputError(ValueError):
 
 
 def load_state(path: str) -> DensityMatrix:
-    """Read a state JSON file; family-spec JSON is accepted too."""
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if isinstance(obj, dict) and "family" in obj:
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
-        return build_family(obj["family"], params)
-    return state_from_json_dict(obj)
+    """Read a state JSON file; family-spec JSON is accepted too.  A file
+    that does not parse raises InputError; StateValidationError and OSError
+    pass through."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if isinstance(obj, dict) and "family" in obj:
+            params = obj.get("params", {})
+            if not isinstance(params, dict):
+                raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
+            return build_family(obj["family"], params)
+        return state_from_json_dict(obj)
+    except StateValidationError:
+        raise
+    except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
+        raise InputError(exc) from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -103,27 +110,17 @@ def decomposition_report(rho: DensityMatrix) -> dict:
     }
 
 
-def _load(path: str) -> DensityMatrix:
-    """:func:`load_state`, raising InputError for a file that does not parse."""
-    try:
-        return load_state(path)
-    except StateValidationError:
-        raise
-    except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-        raise InputError(exc) from exc
-
-
 def cmd_decompose(args) -> None:
-    _write_text(args.output, _dump_json(decomposition_report(_load(args.input))))
+    _write_text(args.output, _dump_json(decomposition_report(load_state(args.input))))
 
 
 def cmd_measure(args) -> None:
-    ms = measure_set(_load(args.input))
+    ms = measure_set(load_state(args.input))
     _write_text(args.output, _dump_json({key: value for key, value in asdict(ms).items() if value is not None}))
 
 
 def cmd_classify(args) -> None:
-    rho = _load(args.input)
+    rho = load_state(args.input)
     rep = classify_two_qubit(rho)
     # the report's fields in their declared order, invariants as an object or null
     report = {**asdict(rep), "category": rep.category.value, "purity": purity(rho)}

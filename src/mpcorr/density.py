@@ -86,10 +86,6 @@ class DensityMatrix:
         _require_finite(self.matrix, "matrix")
 
     @property
-    def total_dimension(self) -> int:
-        return prod(self.dims)
-
-    @property
     def num_parties(self) -> int:
         return len(self.dims)
 
@@ -135,12 +131,15 @@ def pure_states(amplitudes) -> np.ndarray:
 
 def from_pure(amplitudes, dims) -> DensityMatrix:
     """Density matrix |psi><psi| of a (not necessarily normalized) state
-    vector with the given subsystem dimensions."""
+    vector with the given subsystem dimensions; ValueError unless the
+    amplitudes are one flat (1-D) array."""
     dims = _dims(dims)
-    vec = np.asarray(amplitudes, dtype=complex).reshape(1, -1)
+    vec = np.asarray(amplitudes, dtype=complex)
+    if vec.ndim != 1:
+        raise ValueError(f"amplitude vector must be 1-D, got shape {vec.shape}")
     if vec.size != prod(dims):
         raise ValueError(f"amplitude vector length {vec.size} does not match dims {dims}")
-    return DensityMatrix(dims, pure_states(vec)[0])
+    return DensityMatrix(dims, pure_states(vec[None])[0])
 
 
 def validate(matrix, dims) -> DensityMatrix:

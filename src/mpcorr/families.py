@@ -10,8 +10,8 @@ from math import sqrt
 
 import numpy as np
 
+from .bloch import _from_moments
 from .density import DensityMatrix, from_pure, mix, pure_states, tensor
-from .su_basis import pauli_basis
 
 BELL_VECTORS = {
     "phi+": (1, 0, 0, 1),
@@ -48,8 +48,8 @@ def rashid_states(theta) -> np.ndarray:
 
 
 def _bloch_qubit(n: np.ndarray) -> DensityMatrix:
-    sig = pauli_basis().generators
-    return DensityMatrix((2,), (np.eye(2, dtype=complex) + np.einsum("i,iab->ab", n, sig)) / 2.0)
+    """(1 + n . sigma) / 2, the qubit whose moments are (1, n)."""
+    return DensityMatrix((2,), _from_moments((2,), np.concatenate(([1.0], n))[None])[0])
 
 
 @np.errstate(over="raise")

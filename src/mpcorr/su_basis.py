@@ -8,58 +8,9 @@ sigma_z) and for n = 3 exactly the textbook lambda_1 ... lambda_8, so
 component names like C_xx or C_88 keep their conventional meaning.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-HERMITICITY_TOL = 1e-14
-TRACE_TOL = 1e-14
-ORTHOGONALITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class GeneratorBasis:
-    """Ordered set of the n^2 - 1 SU(n) generators for one n-level party.
-
-    ``generators`` is a read-only complex array of shape (n^2 - 1, n, n);
-    ``generators[i]`` is the i-th generator matrix.
-    """
-
-    dimension: int
-    generators: np.ndarray
-
-    def __len__(self) -> int:
-        return self.generators.shape[0]
-
-    def __iter__(self):
-        return iter(self.generators)
-
-
-@dataclass(frozen=True)
-class BasisDiagnostics:
-    """Worst-case residuals of the generator-basis invariants."""
-
-    dimension: int
-    count_expected: int
-    count_actual: int
-    max_hermiticity_residual: float
-    max_trace_residual: float
-    max_orthogonality_residual: float
-
-    @property
-    def ok(self) -> bool:
-        return (
-            self.count_actual == self.count_expected
-            and self.max_hermiticity_residual <= HERMITICITY_TOL
-            and self.max_trace_residual <= TRACE_TOL
-            and self.max_orthogonality_residual <= ORTHOGONALITY_TOL
-        )
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 def _pair_generators(n: int, j: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -80,8 +31,9 @@ def _diagonal_generator(n: int, l: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def gell_mann_basis(n: int) -> GeneratorBasis:
-    """Build the n^2 - 1 generalized Gell-Mann generators of SU(n).
+def gell_mann_basis(n: int) -> np.ndarray:
+    """The n^2 - 1 generalized Gell-Mann generators of SU(n), as one read-only
+    complex array of shape (n^2 - 1, n, n), built once per n.
 
     Ordering: the symmetric/antisymmetric generator pair for each index pair
     (j, k), j < k, in lexicographic order, followed by the n - 1 diagonal
@@ -99,28 +51,6 @@ def gell_mann_basis(n: int) -> GeneratorBasis:
         ordered = pairs[:2] + diags[:1] + pairs[2:] + diags[1:]
     else:
         ordered = pairs + diags
-    return GeneratorBasis(dimension=n, generators=_frozen(np.stack(ordered)))
-
-
-def pauli_basis() -> GeneratorBasis:
-    """The Pauli matrices (sigma_x, sigma_y, sigma_z)."""
-    return gell_mann_basis(2)
-
-
-def verify_basis(basis: GeneratorBasis) -> BasisDiagnostics:
-    """Report worst-case violations of Hermiticity, tracelessness, and
-    Tr(G_i G_j) = 2 delta_ij for an arbitrary candidate basis."""
-    gens = np.asarray(basis.generators, dtype=complex)
-    n = basis.dimension
-    herm = float(np.abs(gens - gens.conj().transpose(0, 2, 1)).max()) if len(gens) else 0.0
-    trace = float(np.abs(np.trace(gens, axis1=1, axis2=2)).max()) if len(gens) else 0.0
-    gram = np.einsum("iab,jba->ij", gens, gens)
-    ortho = float(np.abs(gram - 2.0 * np.eye(len(gens))).max()) if len(gens) else 0.0
-    return BasisDiagnostics(
-        dimension=n,
-        count_expected=n * n - 1,
-        count_actual=len(gens),
-        max_hermiticity_residual=herm,
-        max_trace_residual=trace,
-        max_orthogonality_residual=ortho,
-    )
+    generators = np.stack(ordered)
+    generators.setflags(write=False)
+    return generators

@@ -390,7 +390,7 @@ def test_singular_values_invariant_under_local_unitaries(dims, rng):
 def test_coherence_vector_matches_oracle(n, rng):
     # Tr(rho G_i) term by term; the oracle has bases of its own for n = 2 and
     # 3 only, so beyond that it takes the package's (pinned by test_su_basis)
-    basis = oracle_basis(n) if n <= 3 else gell_mann_basis(n).generators
+    basis = oracle_basis(n) if n <= 3 else gell_mann_basis(n)
     for _ in range(50):
         mat = random_density_mat(n, rng)
         got = coherence_vector(DensityMatrix((n,), mat))

@@ -16,8 +16,8 @@ from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 from mpcorr import families
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
-from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, main
-from mpcorr.density import DensityMatrix, mix
+from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, InputError, load_state, main
+from mpcorr.density import DensityMatrix, TraceNotOneError, mix
 from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy
 
 
@@ -385,6 +385,20 @@ def test_bad_family_spec_exit_1(spec, command, tmp_path, capsys):
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_load_state_error_types(tmp_path):
+    # a file that does not parse is an InputError; a state that fails validation is not
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text("{not json")
+    with pytest.raises(InputError):
+        load_state(str(malformed))
+    path = write_json(tmp_path / "trace.json", {"dims": [2], "matrix": [[[0.7, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
+    with pytest.raises(TraceNotOneError) as info:
+        load_state(path)
+    assert not isinstance(info.value, InputError)
+    with pytest.raises(FileNotFoundError):
+        load_state(str(tmp_path / "missing.json"))
 
 
 def test_console_script_entry_point(tmp_path):

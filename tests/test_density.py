@@ -43,6 +43,12 @@ class TestFromPure:
         with pytest.raises(ValueError, match="length"):
             from_pure([1, 0, 0], (2, 2))
 
+    @pytest.mark.parametrize("amplitudes", [np.eye(2), [[1, 0, 0, 1]], 1.0])
+    def test_non_flat_amplitudes_rejected(self, amplitudes):
+        # np.eye(2) has the four entries of phi+, but it is a matrix, not a state vector
+        with pytest.raises(ValueError, match="1-D"):
+            from_pure(amplitudes, (2, 2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

@@ -4,10 +4,12 @@ exits 0.  A renamed public name or CLI flag fails here."""
 
 import re
 import shlex
+import types
 from pathlib import Path
 
 import pytest
 
+import mpcorr
 from mpcorr.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -46,3 +48,11 @@ def test_shell_commands_exit_0(tmp_path, monkeypatch, capsys):
 
 def test_star_import():
     exec("from mpcorr import *", {})    # AttributeError for a name in __all__ that the package lacks
+
+
+def test_all_lists_every_public_name():
+    # the reverse of test_star_import: the package binds no public name, bar its
+    # submodules, that __all__ leaves out
+    bound = {name for name, value in vars(mpcorr).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(mpcorr.__all__) == bound
