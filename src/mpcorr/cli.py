@@ -23,9 +23,14 @@ parameter-grid order.  A sweep evaluates its grid in one thread, as stacks of
 at most SWEEP_CHUNK states from :func:`families.family_stacks`; each cell
 depends on its own point only, so the bytes do not depend on how the grid is
 split into chunks or into commands.
+
+On glibc, a process that has run :func:`main` keeps up to 64 MiB of freed
+memory for reuse, so the next chunk or command does not fault a freed stack's
+pages in again, and its RSS stays at its high-water mark until exit.
 """
 
 import argparse
+import ctypes
 import json
 import sys
 from dataclasses import asdict
@@ -247,6 +252,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _keep_freed_memory() -> None:
+    """Set glibc's M_MMAP_THRESHOLD (-3) to 32 MiB, the top of its dynamic
+    threshold on 64-bit, and M_TRIM_THRESHOLD (-1) to twice that, as its
+    dynamic rule does; without libc.so.6 or its mallopt, do nothing."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)
+    mallopt(-1, 64 << 20)
+
+
 def _fail(exc: Exception, code: int) -> int:
     sys.stderr.write("error: " + " ".join(str(exc).splitlines()) + "\n")
     return code
@@ -258,6 +278,7 @@ def main(argv=None) -> int:
     not parse and a file that cannot be opened give 1; any other TypeError,
     ValueError or MemoryError gives the command's failure code.  A state
     that fails validation gives 2, with its residual as a JSON object."""
+    _keep_freed_memory()
     code = EXIT_PARSE
     try:
         args = build_parser().parse_args(argv)

@@ -7,6 +7,7 @@ in the Bloch norms and weights of a mixture, raises FloatingPointError.
 """
 
 from math import sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -32,10 +33,17 @@ def bell(which: str) -> DensityMatrix:
     return from_pure(np.array(BELL_VECTORS[key], dtype=complex) / sqrt(2.0), (2, 2))
 
 
+def _real(name: str, value) -> float:
+    """``value`` as a float; numpy scalars pass, strings and booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def rashid(theta: float) -> DensityMatrix:
     """Tilted pure pair (e^-theta |00> + e^theta |11>) / sqrt(2 cosh 2 theta);
     maximally entangled at theta = 0, product as |theta| -> infinity."""
-    return DensityMatrix((2, 2), rashid_states([float(theta)])[0])
+    return DensityMatrix((2, 2), rashid_states([_real("theta", theta)])[0])
 
 
 def rashid_states(theta) -> np.ndarray:
@@ -66,12 +74,11 @@ def cc_mixture(terms) -> DensityMatrix:
     weights = []
     products = []
     for k, (p, na, nb) in enumerate(terms):
-        na = np.asarray(na, dtype=float).reshape(3)
-        nb = np.asarray(nb, dtype=float).reshape(3)
+        na, nb = (np.array([_real(f"term {k}: Bloch component", c) for c in n]).reshape(3) for n in (na, nb))
         for tag, n in (("A", na), ("B", nb)):
             if not np.linalg.norm(n) <= 1.0 + 1e-12:
                 raise ValueError(f"term {k}: Bloch vector {tag} has norm {np.linalg.norm(n):.6f} > 1")
-        weights.append(float(p))
+        weights.append(_real(f"term {k}: weight", p))
         products.append(tensor(_bloch_qubit(na), _bloch_qubit(nb)))
     return mix(weights, products)
 
@@ -85,7 +92,7 @@ def generalized_werner(p: float, theta: float = 0.0) -> DensityMatrix:
     gives the correlation matrix -p diag(sech 2theta, sech 2theta,
     1 - p + p sech^2 2theta).
     """
-    return DensityMatrix((2, 2), generalized_werner_states([float(p)], [float(theta)])[0])
+    return DensityMatrix((2, 2), generalized_werner_states([_real("p", p)], [_real("theta", theta)])[0])
 
 
 def generalized_werner_states(p, theta=0.0) -> np.ndarray:
@@ -102,7 +109,7 @@ def generalized_werner_states(p, theta=0.0) -> np.ndarray:
 
 
 def _whole(name: str, value) -> int:
-    number = float(value)
+    number = _real(name, value)
     if not number.is_integer():
         raise ValueError(f"{name} must be a whole number, got {value!r}")
     return int(number)
@@ -132,7 +139,8 @@ def tripartite_qutrit_e3(theta1: float, theta2: float) -> DensityMatrix:
     """Three-qutrit pure state with amplitudes (e^{t1+t2}, e^{-t1}, e^{-t2})
     on |111>, |222>, |333>, normalized.  Equals the three-qutrit GHZ state at
     theta1 = theta2 = 0."""
-    return DensityMatrix((3, 3, 3), tripartite_qutrit_e3_states([float(theta1)], [float(theta2)])[0])
+    theta1, theta2 = _real("theta1", theta1), _real("theta2", theta2)
+    return DensityMatrix((3, 3, 3), tripartite_qutrit_e3_states([theta1], [theta2])[0])
 
 
 def tripartite_qutrit_e3_states(theta1, theta2) -> np.ndarray:

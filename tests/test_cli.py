@@ -1,10 +1,13 @@
+import ctypes
 import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -466,6 +469,88 @@ class TestNonIntegralParameters:
         code, out, err = run_cli(["measure", "--input", path], capsys)
         assert code == 1
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family,params", [
+    ("generalized-werner", {"p": True, "theta": 0}),
+    ("rashid", {"theta": "0.5"}),
+    ("ghz", {"parties": "3", "level": " 2 "}),
+    ("cc-mixture", {"terms": [["1", [0, 0, 1], [0, 0, 1]]]}),
+], ids=["boolean-p", "string-theta", "string-parties", "string-weight"])
+def test_string_or_boolean_exit_4_from_family_and_1_from_spec_file(family, params, tmp_path, capsys):
+    sets = [arg for name, value in params.items() for arg in ("--set", f"{name}={json.dumps(value)}")]
+    code, out, err = run_cli(["family", "--family", family, *sets], capsys)
+    assert code == 4
+    assert out == "" and "must be a real number" in err
+    path = write_json(tmp_path / "spec.json", {"family": family, "params": params})
+    code, out, err = run_cli(["measure", "--input", path], capsys)
+    assert code == 1
+    assert one_error_line(out, err) and "must be a real number" in err
+
+
+class TestHeapPolicy:
+    QUTRIT = ["sweep", "--family", "tripartite-qutrit-e3", "--outputs", "ec,ed"]
+
+    @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                        reason="the policy acts through glibc's mallopt")
+    def test_second_pass_of_row_commands_reuses_freed_pages(self, tmp_path):
+        # The 41 qutrit row commands of the 41x41 grid, twice in one fresh
+        # process.  Without the policy glibc hands each command's (41, 27, 27)
+        # stacks back to the OS, and every command of the second pass faults
+        # about 490 pages in again.
+        script = f"""if True:
+            import resource, sys
+            from mpcorr.cli import main
+            rows = [[*{self.QUTRIT!r}, "--param", f"theta1={{v!r}}:{{v!r}}:1", "--param", "theta2=-2:2:41",
+                     "--output", sys.argv[1]] for v in [-2 + k / 10 for k in range(41)]]
+            for _ in range(2):
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                assert all(main(argv) == 0 for argv in rows)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / len(rows))
+        """
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path / "row.csv")],
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        assert float(result.stdout) < 16
+
+    @pytest.mark.parametrize("libc", ["no-c-library", "no-mallopt"])
+    def test_sweep_unchanged_without_mallopt(self, libc, capsys, monkeypatch):
+        import mpcorr.cli as cli
+        argv = [*self.QUTRIT, "--param", "theta1=-1:1:3", "--param", "theta2=-2:2:5"]
+        code, want, _ = run_cli(argv, capsys)
+        assert code == 0
+
+        def load(name):
+            if libc == "no-c-library":
+                raise OSError(f"{name}: cannot open shared object file")
+            return SimpleNamespace()
+
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=load, c_int=ctypes.c_int))
+        cli._keep_freed_memory.cache_clear()
+        try:
+            code, got, err = run_cli(argv, capsys)
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert code == 0 and err == ""
+        assert got == want
+
+    def test_applied_once_per_process(self, capsys, monkeypatch):
+        import mpcorr.cli as cli
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        monkeypatch.setattr(cli, "ctypes", SimpleNamespace(CDLL=lambda name: SimpleNamespace(mallopt=mallopt),
+                                                           c_int=ctypes.c_int))
+        cli._keep_freed_memory.cache_clear()
+        try:
+            for argv in (["family", "--family", "ghz"], ["decompose"], [*self.QUTRIT, "--param", "theta1=0:0:1"]):
+                run_cli(argv, capsys)
+        finally:
+            cli._keep_freed_memory.cache_clear()
+        assert calls == [(-3, 32 << 20), (-1, 64 << 20)]
 
 
 class TestBatchedSweep:

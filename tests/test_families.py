@@ -273,3 +273,36 @@ class TestFamilyTable:
         assert mpcorr.cli.FAMILY_BUILDERS is FAMILY_BUILDERS
         for builder, _, _ in FAMILY_BUILDERS.values():
             assert getattr(families, builder.__name__) is builder
+
+
+class TestRealParameters:
+    # float() reads the JSON string "0.5" as 0.5 and true as 1, so only real
+    # numbers may reach it
+    @pytest.mark.parametrize("builder,args", [
+        (rashid, ("0.5",)),
+        (rashid, (True,)),
+        (generalized_werner, (True, 0.0)),
+        (generalized_werner, (0.5, "0")),
+        (ghz, ("3", 2)),
+        (ghz, (3, " 2 ")),
+        (ghz, (3, np.True_)),
+        (tripartite_qutrit_e3, ("0", 0.0)),
+        (tripartite_qutrit_e3, (0.0, False)),
+        (cc_mixture, ([("1", [0, 0, 1], [0, 0, 1])],)),
+        (cc_mixture, ([(True, [0, 0, 1], [0, 0, 1])],)),
+        (cc_mixture, ([(1.0, ["0", "0", "1"], [0, 0, 1])],)),
+        (cc_mixture, ([(1.0, [0, 0, 1], [True, False, False])],)),
+    ])
+    def test_strings_and_booleans_rejected(self, builder, args):
+        with pytest.raises(ValueError, match="must be a real number"):
+            builder(*args)
+
+    def test_numpy_scalars_accepted(self):
+        assert np.array_equal(rashid(np.float64(0.5)).matrix, rashid(0.5).matrix)
+        assert np.array_equal(generalized_werner(np.float32(0.5), np.int64(1)).matrix,
+                              generalized_werner(0.5, 1.0).matrix)
+        assert np.array_equal(ghz(np.int64(3), np.float64(2)).matrix, ghz(3, 2).matrix)
+        assert np.array_equal(tripartite_qutrit_e3(np.float64(0.25), np.int32(-1)).matrix,
+                              tripartite_qutrit_e3(0.25, -1.0).matrix)
+        assert np.array_equal(cc_mixture([(np.float64(1), np.array([0, 0, 1]), (0.0, 0.0, -1))]).matrix,
+                              cc_mixture([(1.0, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])]).matrix)
