@@ -154,16 +154,6 @@ def _require_parties(dims: tuple[int, ...]) -> None:
         raise ValueError(f"a decomposition needs at least two parties, got dims {dims}")
 
 
-def require_column(table, name: str, dims: tuple[int, ...]):
-    """The column function of row ``name`` of a column table such as
-    ``measures.COLUMNS``, which takes the outputs of :func:`decompose_stack`;
-    ValueError unless the row's test holds for ``dims``."""
-    needs, applies, column = table[name]
-    if not applies(dims):
-        raise ValueError(f"{name} output needs {needs}, got dims {dims}")
-    return column
-
-
 def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     """Coherence vectors (a tuple of (B, n_I^2 - 1) arrays) and correlation
     tensors (a dict from each party subset of two or more to a (B, ...) array)

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, _from_moments, _moments, decompose, require_column
-from .density import DensityMatrix, HermitianOperator, _partial_transpose, _require_finite, is_pure
+from .bloch import BlochDecomposition, _from_moments, _moments
+from .density import DensityMatrix, HermitianOperator, _partial_transpose, _pure, _purity, _require_finite
+from .measures import evaluate, require_column
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
@@ -32,15 +33,9 @@ class DegenerateBlochVectorsError(ValueError):
 
 @dataclass(frozen=True)
 class CorrelationSpectrum:
-    """Singular values of a correlation matrix with the NSV count.
-
-    ``eigenvalues`` is populated for square C only; a non-normal C can have
-    complex eigenvalues (in conjugate pairs), so they are kept complex.  Their
-    sum always equals Tr C.
-    """
+    """Singular values of a correlation matrix with the NSV count."""
 
     singular_values: np.ndarray
-    eigenvalues: np.ndarray | None
     nsv_count: int
     threshold_used: float
 
@@ -87,6 +82,7 @@ class ClassificationReport:
     ph_entangled: bool
     min_pt_eigenvalue: float
     invariants: PHInvariants | None
+    purity: float
 
 
 def _spectrum(c: np.ndarray):
@@ -123,22 +119,16 @@ def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
         raise ValueError(f"correlation matrix must be 2-D, got shape {c.shape}")
     _require_finite(c, "correlation matrix")
     sv, threshold, count = _spectrum(c)
-    eig = None
-    if c.shape[0] == c.shape[1]:
-        eig = np.linalg.eigvals(c)
-        eig = eig[np.argsort(-eig.real)]
-        eig.setflags(write=False)
     sv.setflags(write=False)
-    return CorrelationSpectrum(singular_values=sv, eigenvalues=eig, nsv_count=int(count),
-                               threshold_used=float(threshold))
+    return CorrelationSpectrum(singular_values=sv, nsv_count=int(count), threshold_used=float(threshold))
 
 
 def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
-    require_column(COLUMNS, "ph", rho.dims)
+    column = require_column(COLUMNS, "pt_min", rho.dims)
     HermitianOperator(rho.dims, rho.matrix)     # NotHermitianError for a hand-built non-Hermitian matrix
-    min_eig = float(_pt_min(rho.dims, rho.matrix))
+    min_eig = float(column(rho.dims, rho.matrix, None, None))
     entangled = min_eig < -PT_NEGATIVITY_TOL
     conclusive = entangled or sorted(rho.dims) in ([2, 2], [2, 3])
     return PHVerdict(min_eigenvalue=min_eig, entangled=entangled, conclusive=conclusive)
@@ -157,8 +147,7 @@ def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
         raise ValueError(f"sign-flip PH test supports two qubits only, got dims {rho.dims}")
     pt = _from_moments(rho.dims, _moments(rho.dims, rho.matrix[None]) * _SIGMA_Y_FLIP)
     min_eig = float(np.linalg.eigvalsh(pt[0]).min())
-    return PHVerdict(min_eigenvalue=min_eig, entangled=min_eig < -PT_NEGATIVITY_TOL,
-                     conclusive=True)
+    return PHVerdict(min_eigenvalue=min_eig, entangled=min_eig < -PT_NEGATIVITY_TOL, conclusive=True)
 
 
 def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
@@ -192,7 +181,8 @@ def ph_condition_explicit(inv: PHInvariants) -> bool:
 
 
 def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
-    """Category of a two-qubit state from its purity, NSV count, and PH test.
+    """Category of a two-qubit state from the values of its rows: purity,
+    NSV count and least PT eigenvalue.
 
     Decision table: pure states are products (NSV 0) or entangled (any
     correlation at all; NSV 3 in exact arithmetic).  Mixed states with no
@@ -202,27 +192,25 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
-    dec = decompose(rho)
-    nsv_count = int(_spectrum(dec.pair(0, 1))[2])
-    verdict = ph_test(rho)
-    xi, na_nb, na_c_nb = _invariants(dec.coherence_vectors, dec.pair(0, 1))
-    invariants = None if np.isnan(xi) else PHInvariants(float(xi), float(na_nb), float(na_c_nb))
-    if is_pure(rho):
+    row = {name: float(values[0]) for name, values in evaluate(_REPORT, rho.dims, rho.matrix[None], _REPORT).items()}
+    nsv_count, entangled = int(row["nsv"]), row["pt_min"] < -PT_NEGATIVITY_TOL
+    if _pure(row["purity"]):
         category = Category.PURE_PRODUCT if nsv_count == 0 else Category.PURE_ENTANGLED
     elif nsv_count == 0:
         category = Category.UNCORRELATED
-    elif verdict.entangled:
+    elif entangled:
         category = Category.MIXED_ENTANGLED
     else:
         category = Category.CLASSICALLY_CORRELATED
-    return ClassificationReport(category=category, nsv_count=nsv_count, ph_entangled=verdict.entangled,
-                                min_pt_eigenvalue=verdict.min_eigenvalue, invariants=invariants)
+    invariants = None if np.isnan(row["xi"]) else PHInvariants(row["xi"], row["nanb"], row["nacnb"])
+    return ClassificationReport(category=category, nsv_count=nsv_count, ph_entangled=entangled,
+                                min_pt_eigenvalue=row["pt_min"], invariants=invariants, purity=row["purity"])
 
 
-# The classification quantities as columns, in the form of
-# measures.COLUMNS: the NSV count, the PH verdict (0/1), and the two-qubit
-# invariants, xi being NaN where n_A . n_B degenerates.  Each column is its
-# helper above, applied to the whole stack.
+# The classification quantities as columns, in the form of measures.COLUMNS:
+# the NSV count, the PH verdict (0/1), the two-qubit invariants, xi being NaN
+# where n_A . n_B degenerates, the purity and the least PT eigenvalue.  Each
+# column is its helper above, applied to the whole stack.
 COLUMNS = {
     "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
             lambda dims, mats, vectors, sectors: _spectrum(sectors[(0, 1)])[2]),
@@ -232,4 +220,12 @@ COLUMNS = {
            lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[0]),
     "nanb": ("a two-qubit state", lambda dims: dims == (2, 2),
              lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[1]),
+    "purity": ("any state", lambda dims: True, lambda dims, mats, vectors, sectors: _purity(mats)),
+    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2,
+               lambda dims, mats, vectors, sectors: _pt_min(dims, mats)),
 }
+
+# The report's rows: those of COLUMNS it reads and n_A . C . n_B, which only its invariants carry.
+_REPORT = {**{name: COLUMNS[name] for name in ("purity", "nsv", "pt_min", "xi", "nanb")},
+           "nacnb": ("a two-qubit state", lambda dims: dims == (2, 2),
+                     lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[2])}

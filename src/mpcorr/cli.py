@@ -41,11 +41,11 @@ from math import prod
 import numpy as np
 
 from . import classify, measures
-from .bloch import decompose, decompose_stack, require_column
+from .bloch import decompose
 from .classify import classify_two_qubit
-from .density import DensityMatrix, StateValidationError, purity, state_from_json_dict, state_to_json_dict
+from .density import DensityMatrix, StateValidationError, state_from_json_dict, state_to_json_dict
 from .families import FAMILY_BUILDERS, build_family, family_row, family_stacks
-from .measures import measure_set
+from .measures import evaluate, measure_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -125,11 +125,9 @@ def cmd_measure(args) -> None:
 
 
 def cmd_classify(args) -> None:
-    rho = load_state(args.input)
-    rep = classify_two_qubit(rho)
+    rep = classify_two_qubit(load_state(args.input))
     # the report's fields in their declared order, invariants as an object or null
-    report = {**asdict(rep), "category": rep.category.value, "purity": purity(rho)}
-    _write_text(args.output, _dump_json(report))
+    _write_text(args.output, _dump_json({**asdict(rep), "category": rep.category.value}))
 
 
 def _parse_set(pairs) -> dict:
@@ -174,10 +172,8 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
         chunk = np.array(list(islice(points, SWEEP_CHUNK)))
         cells = np.empty((len(chunk), len(outputs)), dtype=object)
         for idx, dims, mats in family_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
-            vectors, sectors = decompose_stack(dims, mats)
-            for j, name in enumerate(outputs):
-                column = require_column(OUTPUTS, name, dims)
-                cells[idx, j] = np.asarray(column(dims, mats, vectors, sectors)).tolist()
+            for j, values in enumerate(evaluate(OUTPUTS, dims, mats, outputs).values()):
+                cells[idx, j] = np.asarray(values).tolist()
         # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
         rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]
     return rows
@@ -196,6 +192,8 @@ def cmd_sweep(args) -> None:
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
     if not outputs:
         raise ValueError("sweep needs at least one output")
+    if len(set(outputs)) != len(outputs):
+        raise ValueError(f"duplicate output names in {outputs}")
     for o in outputs:
         if o not in OUTPUTS:
             raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")

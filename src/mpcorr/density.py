@@ -248,8 +248,12 @@ def purity(rho: DensityMatrix) -> float:
     return float(_purity(rho.matrix))
 
 
+def _pure(purity):
+    return purity >= 1.0 - PURITY_TOL       # of one state or of an array of them; NaN counts as mixed
+
+
 def is_pure(rho: DensityMatrix) -> bool:
-    return purity(rho) >= 1.0 - PURITY_TOL
+    return _pure(purity(rho))
 
 
 # --- JSON state format -------------------------------------------------------

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, decompose_stack, require_column
-from .density import PURITY_TOL, DensityMatrix, _dims, _partial_trace, _purity, _require_finite
+from .bloch import BlochDecomposition, decompose_stack
+from .density import DensityMatrix, _dims, _partial_trace, _pure, _purity, _require_finite, is_pure
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -94,6 +94,24 @@ def _sector_norm(parties: int, weight):
         np.square(c).sum(axis=tuple(range(-parties, 0))) for s, c in sectors.items() if len(s) == parties)
 
 
+def require_column(table, name: str, dims: tuple[int, ...]):
+    """The column function of row ``name`` of a column table such as
+    :data:`COLUMNS`; ValueError unless the row's test holds for ``dims``."""
+    needs, applies, column = table[name]
+    if not applies(dims):
+        raise ValueError(f"{name} output needs {needs}, got dims {dims}")
+    return column
+
+
+def evaluate(table, dims: tuple[int, ...], mats: np.ndarray, names) -> dict:
+    """The rows ``names`` of a column table over a (B, d, d) stack of states of
+    two or more parties, one array of B values per row, from one decomposition
+    of the stack; ValueError if a row does not apply to ``dims``."""
+    columns = {name: require_column(table, name, dims) for name in names}
+    vectors, sectors = decompose_stack(dims, mats)
+    return {name: column(dims, mats, vectors, sectors) for name, column in columns.items()}
+
+
 def _one(name: str, dims: tuple[int, ...], mat=None, sectors=None) -> float:
     """The ``name`` column on one state: its (d, d) matrix or its correlation tensors."""
     return float(require_column(COLUMNS, name, dims)(dims, mat, None, sectors))
@@ -102,9 +120,8 @@ def _one(name: str, dims: tuple[int, ...], mat=None, sectors=None) -> float:
 def _pure_marginals(what: str, dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
     """Party-A marginals of pure bipartite states; MixedStateError names the first mixed one."""
     purity = _purity(mats)
-    mixed = ~(purity >= 1.0 - PURITY_TOL)         # the test of is_pure, so NaN counts as mixed
-    if mixed.any():
-        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity[mixed][0]:.9f})")
+    if not _pure(purity).all():
+        raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity[~_pure(purity)][0]:.9f})")
     return _partial_trace(dims, mats, [0])
 
 
@@ -116,13 +133,12 @@ def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
 
 # The measures as columns: name -> (what it needs, test on dims, column
 # function).  A column function maps a (B, d, d) stack, its coherence vectors
-# and its correlation tensors (see bloch.decompose_stack) to B values.  Each
-# column is the only code for its quantity: the scalar functions call it on
-# one state, through _one.  The sector norms ec, ed and ee read the tensors;
-# concurrence and entropy read the stack's party-A marginals and raise
-# MixedStateError if any state of the stack is mixed.  A row's test is the
-# only statement of where its quantity is defined: the scalar functions apply
-# it through bloch.require_column.
+# and its correlation tensors (see bloch.decompose_stack) to B values;
+# evaluate applies rows to a stack, and the scalar functions apply a row to
+# one state through _one, so each column is the only code for its quantity
+# and its test the only statement of where it is defined.  The sector norms
+# ec, ed and ee read the tensors; concurrence and entropy (_PURE_ONLY) read
+# the party-A marginals and raise MixedStateError on a mixed state.
 COLUMNS = {
     "ec": ("two parties or three or more equal-dimension parties",
            lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
@@ -135,6 +151,7 @@ COLUMNS = {
     "entropy": ("a bipartite state", lambda dims: len(dims) == 2, lambda dims, mats, vectors, sectors:
                 _entropy_bits(_pure_marginals("entanglement entropy", dims, mats))),
 }
+_PURE_ONLY = ("concurrence", "entropy")
 
 # MeasureSet field of each column
 _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", "entropy": "entropy_bits"}
@@ -142,17 +159,11 @@ _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """The measures of every row of COLUMNS whose rule holds for the state's
-    party structure; concurrence and entropy only when the state is pure.
-    """
-    columns = {name: column for name, (_, applies, column) in COLUMNS.items() if applies(rho.dims)}
-    if not columns:
+    party structure; concurrence and entropy only when the state is pure."""
+    names = [name for name, (_, applies, _) in COLUMNS.items() if applies(rho.dims)]
+    if not names:
         raise ValueError(f"no measures defined for party structure {rho.dims}")
-    mats = rho.matrix[None]
-    vectors, sectors = decompose_stack(rho.dims, mats)
-    values = {}
-    for name, column in columns.items():
-        try:
-            values[_FIELDS[name]] = float(column(rho.dims, mats, vectors, sectors)[0])
-        except MixedStateError:
-            pass
-    return MeasureSet(**values)
+    if not is_pure(rho):
+        names = [name for name in names if name not in _PURE_ONLY]
+    values = evaluate(COLUMNS, rho.dims, rho.matrix[None], names)
+    return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in values.items()})

@@ -9,12 +9,13 @@ from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
 from mpcorr.bloch import BlochDecomposition, decompose
-from mpcorr.classify import (Category, DegenerateBlochVectorsError,
+from mpcorr.classify import (COLUMNS, PT_NEGATIVITY_TOL, Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
                              correlation_spectrum, ph_condition_explicit,
                              ph_invariants, ph_test, ph_test_signflip)
-from mpcorr.density import DensityMatrix, NotHermitianError, from_pure, mix, tensor
+from mpcorr.density import PURITY_TOL, DensityMatrix, NotHermitianError, from_pure, mix, tensor
 from mpcorr.families import bell, cc_mixture, generalized_werner
+from mpcorr.measures import evaluate
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -49,22 +50,14 @@ class TestCorrelationSpectrum:
         spec = correlation_spectrum(decompose(random_cc_qubit(2, rng)).pair(0, 1))
         assert spec.nsv_count == 1
 
-    def test_eigenvalue_sum_is_trace(self, rng):
-        for _ in range(50):
-            c = rng.normal(size=(3, 3))
-            spec = correlation_spectrum(c)
-            assert complex(spec.eigenvalues.sum()).real == pytest.approx(np.trace(c), abs=1e-10)
-            assert abs(complex(spec.eigenvalues.sum()).imag) < 1e-10
-
     def test_threshold_is_relative(self):
         c = np.diag([1e-6, 1e-18, 0.0])
         spec = correlation_spectrum(c)
         assert spec.nsv_count == 1
         assert spec.threshold_used == pytest.approx(max(1e-12, 1e-9 * 1e-6))
 
-    def test_rectangular_has_no_eigenvalues(self):
+    def test_rectangular_has_one_singular_value_per_row(self):
         spec = correlation_spectrum(np.ones((3, 8)))
-        assert spec.eigenvalues is None
         assert spec.singular_values.shape == (3,)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -317,3 +310,44 @@ def test_hypothesis_spectrum_counts_within_rank(entries):
     assert 0 <= spec.nsv_count <= 3
     assert spec.nsv_count == (spec.singular_values > spec.threshold_used).sum()
     assert np.all(np.diff(spec.singular_values) <= 0)
+
+
+def report_states(seed):
+    """Random mixed states of rank 2 to 4, a pure entangled state, a pure
+    product and a Werner state at theta = 0, where n_A . n_B = 0."""
+    rng = np.random.default_rng(seed)
+    rhos = [DensityMatrix((2, 2), random_density_mat(4, rng, rank=rank)) for rank in (2, 3, 4)]
+    return rhos + [from_pure(random_pure_vec(4, rng), (2, 2)),
+                   from_pure(np.kron(random_pure_vec(2, rng), random_pure_vec(2, rng)), (2, 2)),
+                   generalized_werner(rng.uniform(0, 1), 0.0)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_hypothesis_report_fields_are_row_values(seed):
+    # the report is what a one-point sweep of its rows gives, bit for bit
+    for rho in report_states(seed):
+        rep = classify_two_qubit(rho)
+        row = {name: values[0] for name, values in evaluate(COLUMNS, (2, 2), rho.matrix[None], COLUMNS).items()}
+        assert (rep.purity, rep.nsv_count, rep.min_pt_eigenvalue) == (row["purity"], row["nsv"], row["pt_min"])
+        assert rep.ph_entangled == bool(row["ph"]) == (row["pt_min"] < -PT_NEGATIVITY_TOL)
+        if np.isnan(row["xi"]):
+            assert rep.invariants is None
+        else:
+            inv = ph_invariants(decompose(rho))
+            assert (rep.invariants.xi, rep.invariants.na_dot_nb) == (row["xi"], row["nanb"])
+            assert rep.invariants.na_dot_c_nb == inv.na_dot_c_nb
+        if row["purity"] >= 1 - PURITY_TOL:
+            want = Category.PURE_PRODUCT if row["nsv"] == 0 else Category.PURE_ENTANGLED
+        elif row["nsv"] == 0:
+            want = Category.UNCORRELATED
+        else:
+            want = Category.MIXED_ENTANGLED if row["ph"] else Category.CLASSICALLY_CORRELATED
+        assert rep.category is want
+
+
+def test_report_states_cover_every_pure_category_and_degenerate_invariants():
+    reps = [classify_two_qubit(rho) for rho in report_states(0)]
+    assert [rep.category for rep in reps[3:5]] == [Category.PURE_ENTANGLED, Category.PURE_PRODUCT]
+    assert reps[5].invariants is None
+    assert all(rep.invariants is not None for rep in reps[:5])

@@ -20,7 +20,7 @@ from mpcorr import families
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
 from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, InputError, load_state, main
-from mpcorr.density import DensityMatrix, TraceNotOneError, mix
+from mpcorr.density import DensityMatrix, TraceNotOneError, mix, purity
 from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy
 
 
@@ -630,16 +630,19 @@ SCALAR_OUTPUTS = {
     "ph": lambda rho, dec: int(ph_test(rho).entangled),
     "xi": xi_or_nan,
     "nanb": lambda rho, dec: float(np.dot(*dec.coherence_vectors)),
+    "purity": lambda rho, dec: purity(rho),
+    "pt_min": lambda rho, dec: ph_test(rho).min_eigenvalue,
 }
 
 # family -> (scalar builder, parameter ranges, every output that applies)
 SWEPT = {
     # beyond |theta| = 12 the PT's negative eigenvalue lies within PT_NEGATIVITY_TOL of 0
-    "rashid": (families.rashid, {"theta": st.floats(-15, 15)}, "ec,concurrence,entropy,nsv,ph,xi,nanb"),
+    "rashid": (families.rashid, {"theta": st.floats(-15, 15)},
+               "ec,concurrence,entropy,nsv,ph,xi,nanb,purity,pt_min"),
     "generalized-werner": (families.generalized_werner, {"p": st.floats(0, 1), "theta": st.floats(-3, 3)},
-                           "ec,nsv,ph,xi,nanb"),
+                           "ec,nsv,ph,xi,nanb,purity,pt_min"),
     "tripartite-qutrit-e3": (families.tripartite_qutrit_e3,
-                             {"theta1": st.floats(-3, 3), "theta2": st.floats(-3, 3)}, "ec,ed"),
+                             {"theta1": st.floats(-3, 3), "theta2": st.floats(-3, 3)}, "ec,ed,purity"),
 }
 
 
@@ -752,6 +755,15 @@ class TestExitCodes:
         assert code == 4
         assert one_error_line(stdout, err)
         assert f"{family!r} cannot be swept" in err
+        assert not out.exists()
+
+    def test_duplicate_output_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(["sweep", "--family", "generalized-werner", "--param", "p=0:1:3",
+                                     "--param", "theta=0:0:1", "--outputs", "ec,ec", "--output", str(out)], capsys)
+        assert code == 4
+        assert one_error_line(stdout, err)
+        assert "duplicate output names" in err
         assert not out.exists()
 
     def test_unallocatable_grid_exit_4(self, tmp_path, capsys):

@@ -37,7 +37,8 @@ def oracle_columns(mat, dims):
     pairs = {(i, j): oracle_pair_c(oracle_ptrace(mat, dims, [i, j]), (dims[i], dims[j]), [bases[i], bases[j]])
              for i, j in combinations(range(len(dims)), 2)}
     small = min(dims[0], dims[-1])
-    out = {"ec": small ** 2 / (4 * (small ** 2 - 1)) * sum((c ** 2).sum() for c in pairs.values())}
+    out = {"ec": small ** 2 / (4 * (small ** 2 - 1)) * sum((c ** 2).sum() for c in pairs.values()),
+           "purity": np.trace(mat @ mat).real}
     if len(dims) == 2:
         out["pt_min"] = np.linalg.eigvalsh(oracle_ptranspose(mat, dims, 1)).min()
         out["ph"] = int(out["pt_min"] < -PT_NEGATIVITY_TOL)
@@ -75,7 +76,7 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
                 columns.pop(name)(dims, mats, vectors, sectors)
     for b, mat in enumerate(mats):
         want = oracle_columns(mat, dims)
-        assert set(columns) == set(want) - {"pt_min"}
+        assert set(columns) == set(want)
         if "pt_min" in want:
             assert ph_test(DensityMatrix(dims, mat)).min_eigenvalue == pytest.approx(want["pt_min"], abs=1e-12)
         for name, column in columns.items():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mpcorr
-from mpcorr.cli import main
+from mpcorr.cli import OUTPUTS, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -44,6 +44,11 @@ def test_shell_commands_exit_0(tmp_path, monkeypatch, capsys):
     for argv in commands:               # in README order: the first writes the file the next three read
         assert main(argv) == 0, argv
         assert capsys.readouterr().err == "", argv
+
+
+def test_available_outputs_are_the_sweep_outputs():
+    (listed,) = re.findall(r"^Available outputs: (.*?)\. ", README, flags=re.M | re.S)
+    assert re.findall(r"`(\w+)`", listed) == list(OUTPUTS)
 
 
 def test_star_import():

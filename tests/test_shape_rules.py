@@ -13,7 +13,7 @@ from helpers import random_pure_vec
 from mpcorr import classify, measures
 from mpcorr.bloch import BlochDecomposition, coherence_vector, decompose
 from mpcorr.classify import ph_invariants, ph_test
-from mpcorr.density import from_pure
+from mpcorr.density import from_pure, purity
 from mpcorr.measures import (concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, e_e,
                              entanglement_entropy, measure_set)
 
@@ -32,6 +32,8 @@ ENTRY_POINTS = {
     "ph": lambda rho, dec: ph_test(rho),
     "xi": lambda rho, dec: ph_invariants(dec).xi,
     "nanb": lambda rho, dec: ph_invariants(dec).na_dot_nb,
+    "purity": lambda rho, dec: purity(rho),
+    "pt_min": lambda rho, dec: ph_test(rho).min_eigenvalue,
 }
 
 # correlation_spectrum, the scalar form of nsv, takes a bare matrix, not a
