@@ -23,6 +23,16 @@ per party and no partial traces.
 :func:`decompose` (:func:`decompose_stack` for a stack) is the one way in,
 for any shape of two or more parties; :func:`coherence_vector` gives n of one party.
 
+A real stack, as every sweepable family builds, takes a real map.  The
+identity, symmetric and diagonal generators are real and the antisymmetric
+ones are i times real, so each party's forward matrix is a real one R times
+i on the antisymmetric columns, and for a real rho T = i^k x, with x the real
+mode products with R and k the number of antisymmetric generators of the
+entry.  T is therefore Re(i^k) x, which is x, 0 or -x as k mod 4 is 0, odd
+or 2; on the entries of odd k, x is the imaginary part, held to IMAG_TOL as a
+complex T's is.  A complex stack, which every DensityMatrix is, keeps the
+complex map.
+
 :func:`reconstruct` inverts the map.  It refills T from the vectors and
 tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
 A_{m_1} x ... with weight 1 for the identity and n_I / 2 for a generator of
@@ -46,15 +56,18 @@ from .su_basis import gell_mann_basis
 IMAG_TOL = 1e-12
 
 
-def _real_within(arr: np.ndarray, what: str) -> np.ndarray:
-    """Drop an imaginary part that is guaranteed zero analytically; a large
-    residue means a bug upstream, not data to keep."""
-    arr = np.asarray(arr)
-    if not np.iscomplexobj(arr):
-        return arr.astype(float)
-    resid = float(np.abs(arr.imag).max()) if arr.size else 0.0
+def _require_real(residue: np.ndarray, what: str) -> None:
+    """Refuse an imaginary part that is zero analytically unless it is within
+    IMAG_TOL; a large residue means a bug upstream, not data to keep."""
+    resid = float(np.abs(residue).max()) if residue.size else 0.0
     if resid > IMAG_TOL:
         raise ValueError(f"{what} has imaginary residue {resid:.3e} (tolerance {IMAG_TOL:.1e})")
+
+
+def _real_within(arr: np.ndarray, what: str) -> np.ndarray:
+    """The real part of a complex array, read-only, after :func:`_require_real`
+    on its imaginary part."""
+    _require_real(arr.imag, what)
     out = arr.real.copy()
     out.setflags(write=False)
     return out
@@ -121,12 +134,51 @@ def _mode_products(t: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
-    """The complex moment tensors T[b, m_1, ..., m_N] of a (B, d, d) stack."""
+def _contract(dims: tuple[int, ...], mats: np.ndarray, forward: list[np.ndarray]) -> np.ndarray:
+    """Mode products of a (B, d, d) stack with one forward matrix per party,
+    (B, n_1^2, ..., n_N^2)."""
     n = len(dims)
     t = mats.reshape((len(mats),) + dims + dims).transpose(tuple(1 + a for a in _interleave(n)) + (0,))
-    forward = [_augmented(d)[0] for d in dims]
     return _mode_products(t, forward).reshape((len(mats),) + tuple(d * d for d in dims))
+
+
+def _moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
+    """The complex moment tensors T[b, m_1, ..., m_N] of a (B, d, d) stack."""
+    return _contract(dims, mats, [_augmented(d)[0] for d in dims])
+
+
+@lru_cache(maxsize=None)
+def _real_forward(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real factor R of one party's forward matrix F = R diag(i^a), and a:
+    1 on the columns of the antisymmetric generators, which are i times
+    real, and 0 on the identity, symmetric and diagonal ones, which are real."""
+    forward = _augmented(n)[0]
+    odd = (forward.imag != 0).any(axis=0)
+    real = np.where(odd, forward.imag, forward.real)
+    real.setflags(write=False)
+    return real, odd.astype(int)
+
+
+@lru_cache(maxsize=None)
+def _parity(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Re(i^k) on each entry of T, for k the number of its antisymmetric
+    generators, and the flat indices of the entries with k odd, where it is 0."""
+    k = reduce(np.add.outer, [_real_forward(d)[1] for d in dims])
+    weight = np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
+    weight.setflags(write=False)
+    return weight, np.flatnonzero(k % 2)
+
+
+def _real_moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
+    """The moment tensors of a real (B, d, d) stack, read-only: T = Re(i^k) x
+    for x the real mode products, whose entries of odd k are the imaginary
+    part of T."""
+    x = _contract(dims, mats, [_real_forward(d)[0] for d in dims])
+    weight, odd = _parity(dims)
+    _require_real(x.reshape(-1, weight.size)[:, odd], "moment tensor")
+    x *= weight
+    x.setflags(write=False)
+    return x
 
 
 def _from_moments(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
@@ -161,7 +213,7 @@ def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     is the one-state case."""
     _require_parties(dims)
     n = len(dims)
-    t = _real_within(_moments(dims, mats), "moment tensor")
+    t = _real_within(_moments(dims, mats), "moment tensor") if np.iscomplexobj(mats) else _real_moments(dims, mats)
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
     ones = np.ones((len(t), 1))
     outer = [np.concatenate((ones, v), axis=1).reshape((-1,) + (1,) * p + (v.shape[1] + 1,) + (1,) * (n - 1 - p))

@@ -95,8 +95,9 @@ def _spectrum(c: np.ndarray):
 
 def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
     """Least eigenvalue of the partial transpose on the second party of one
-    (d, d) bipartite state or of a (B, d, d) stack."""
-    return np.linalg.eigvalsh(_partial_transpose(dims, mats, 1)).min(axis=-1)
+    (d, d) bipartite state or of a (B, d, d) stack, from the complex
+    eigensolver also for a real one, so both give the same bits."""
+    return np.linalg.eigvalsh(_partial_transpose(dims, mats, 1).astype(complex, copy=False)).min(axis=-1)
 
 
 def _invariants(vectors, c):

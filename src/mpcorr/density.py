@@ -118,15 +118,28 @@ def pure_states(amplitudes) -> np.ndarray:
     """The (B, d, d) stack of |psi><psi|, one per row of a (B, d) array of
     (not necessarily normalized) amplitudes.  Rows are first scaled exactly,
     by a power of two, to a largest real or imaginary part in [0.5, 1): no
-    modulus or norm overflows."""
-    vec = np.asarray(amplitudes, dtype=complex)
+    modulus or norm overflows.
+
+    The dtype follows the amplitudes: real amplitudes give a float64 stack,
+    bit for bit the real part of the complex stack of the same amplitudes,
+    so the moment map can run in real arithmetic.  That is why a real row is
+    multiplied by the reciprocal of its norm where a complex row is divided
+    by it: numpy divides a complex number by a real one as the product with
+    that reciprocal.  A complex row keeps the division, whose signs of zero
+    the product does not always repeat."""
+    vec = np.asarray(amplitudes)
+    vec = vec.astype(complex if np.iscomplexobj(vec) else float, copy=False)
     _require_finite(vec, "amplitude vector")
     largest = np.maximum(np.abs(vec.real), np.abs(vec.imag)).max(axis=1, keepdims=True)
     if (largest < 1e-300).any():
         raise ValueError("amplitude vector is zero")
     vec = vec * np.ldexp(1.0, -np.frexp(largest)[1])
-    vec = vec / np.linalg.norm(vec, axis=1, keepdims=True)
-    return vec[:, :, None] * vec[:, None, :].conj()
+    norm = np.linalg.norm(vec, axis=1, keepdims=True)
+    if np.iscomplexobj(vec):
+        vec = vec / norm
+        return vec[:, :, None] * vec[:, None, :].conj()
+    vec = vec * (1.0 / norm)
+    return vec[:, :, None] * vec[:, None, :] + 0.0     # +0.0, not 0 * -x = -0.0, as the complex product gives
 
 
 def from_pure(amplitudes, dims) -> DensityMatrix:

@@ -2,8 +2,12 @@
 the CLI reads: build_family builds a family at one point and family_stacks at
 the points of a sweep.  Every output is a valid DensityMatrix.  The
 ``*_states`` forms take arrays of parameters and return a (B, d, d) stack; the
-scalar constructor is their one-point case.  An overflow, in an exponential or
-in the Bloch norms and weights of a mixture, raises FloatingPointError.
+scalar constructor is their one-point case.  A stack's dtype follows the
+amplitudes (see :func:`density.pure_states`): every sweepable family has real
+amplitudes, so its stacks are float64 and take the real moment map of
+:mod:`bloch`, while a scalar constructor's DensityMatrix is complex.  An
+overflow, in an exponential or in the Bloch norms and weights of a mixture,
+raises FloatingPointError.
 """
 
 from math import sqrt
@@ -132,7 +136,8 @@ def _ghz_groups(**params):
     for i, point in enumerate(zip(*params.values())):
         groups.setdefault(point, []).append(i)
     states = [(idx, ghz(**dict(zip(params, point)))) for point, idx in groups.items()]
-    return [(idx, rho.dims, np.repeat(rho.matrix[None], len(idx), axis=0)) for idx, rho in states]
+    # GHZ amplitudes are real, so each group repeats a real matrix
+    return [(idx, rho.dims, np.repeat(rho.matrix.real[None], len(idx), axis=0)) for idx, rho in states]
 
 
 def tripartite_qutrit_e3(theta1: float, theta2: float) -> DensityMatrix:

@@ -126,7 +126,8 @@ def _pure_marginals(what: str, dims: tuple[int, ...], mats: np.ndarray) -> np.nd
 
 
 def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
-    mu = np.linalg.eigvalsh(marginals)
+    # the complex eigensolver for real marginals too, so both give the same bits
+    mu = np.linalg.eigvalsh(marginals.astype(complex, copy=False))
     terms = np.where(mu > 1e-15, -mu * np.log2(np.where(mu > 1e-15, mu, 1.0)), 0.0)
     return terms.sum(axis=-1) + 0.0        # +0.0, not -0.0, for a product
 

@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (GELL_MANN, PAULI, dm_of, kron_all, oracle_basis,
                      oracle_coherence, oracle_cumulant, oracle_pair_c,
@@ -11,8 +13,10 @@ from helpers import (GELL_MANN, PAULI, dm_of, kron_all, oracle_basis,
                      random_pure_vec, random_unitary)
 
 from mpcorr.bloch import (BlochDecomposition, _real_within, coherence_vector,
-                          decompose, reconstruct)
-from mpcorr.density import DensityMatrix, from_pure, partial_trace, tensor
+                          decompose, decompose_stack, reconstruct)
+from mpcorr.density import DensityMatrix, from_pure, partial_trace, pure_states, tensor
+from mpcorr.families import (generalized_werner_states, ghz, rashid_states,
+                             tripartite_qutrit_e3_states)
 from mpcorr.su_basis import gell_mann_basis
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -418,6 +422,57 @@ def test_real_within_guards_imaginary_residue():
     assert clean.dtype == float
     with pytest.raises(ValueError, match="imaginary"):
         _real_within(np.array([1.0 + 1e-6j]), "x")
+
+
+REAL_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4), (2,) * 5]
+
+
+def real_states(dims, rng):
+    """A real (B, d, d) stack: pure states of dense and of sparse real
+    amplitudes (exact zeros, as in product and GHZ states), real mixed states
+    of rank 2 and d, and the maximally mixed state."""
+    d = math.prod(dims)
+    amplitudes = rng.normal(size=(4, d))
+    amplitudes[2:] *= rng.random((2, d)) < 0.3
+    amplitudes[2:, 0] = 1.0
+    factors = [rng.normal(size=(d, rank)) for rank in (2, d)]
+    mixed = [f @ f.T / np.trace(f @ f.T) for f in factors]
+    return np.concatenate([pure_states(amplitudes), mixed, [np.eye(d) / d]])
+
+
+FAMILY_STACKS = {
+    (2, 2): lambda: np.concatenate([rashid_states(np.linspace(-3, 3, 7)),
+                                    generalized_werner_states(np.linspace(0, 1, 5), np.linspace(-2, 2, 5))]),
+    (3, 3, 3): lambda: tripartite_qutrit_e3_states(np.linspace(-2, 2, 6), np.linspace(2, -2, 6)),
+}
+
+
+def same_bits(a, b) -> bool:
+    """Equal bit for bit, reading -0.0 and +0.0 as one value."""
+    return a.dtype == b.dtype and a.shape == b.shape and (a + 0.0).tobytes() == (b + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("dims", REAL_SHAPES, ids=str)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_real_stack_decomposes_as_its_complex_copy(dims, seed):
+    """The real moment map gives the complex map's vectors and tensors bit
+    for bit.  Only the sign of an exact zero may differ: on entries with an
+    odd number of antisymmetric generators the complex map keeps whatever
+    sign its complex GEMM leaves on a zero real part."""
+    stacks = [real_states(dims, np.random.default_rng(seed))]
+    if dims in FAMILY_STACKS:
+        stacks.append(FAMILY_STACKS[dims]())
+    if len(set(dims)) == 1 and dims[0] ** len(dims) <= 256:
+        stacks.append(ghz(len(dims), dims[0]).matrix.real[None])
+    for mats in stacks:
+        assert mats.dtype == float
+        real, complex_ = decompose_stack(dims, mats), decompose_stack(dims, mats.astype(complex))
+        assert real[1].keys() == complex_[1].keys()
+        arrays = list(zip(real[0], complex_[0])) + [(real[1][s], complex_[1][s]) for s in real[1]]
+        for a, b in arrays:
+            assert same_bits(a, b)
+            assert not a.flags.writeable and not b.flags.writeable
 
 
 def test_pure_state_oracle_cross_check(rng):

@@ -7,6 +7,7 @@ import platform
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,8 +21,8 @@ from mpcorr import families
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
 from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, InputError, load_state, main
-from mpcorr.density import DensityMatrix, TraceNotOneError, mix, purity
-from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy
+from mpcorr.density import DensityMatrix, TraceNotOneError, mix, pure_states, purity
+from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy, evaluate
 
 
 def run_cli(argv, capsys):
@@ -610,6 +611,56 @@ class TestBatchedSweep:
                                 "--param", "theta2=0:0:1", "--outputs", "ec,ph"], capsys)
         assert code == 4
         assert "ph output needs a bipartite state" in err
+
+
+# family -> grids, each {parameter: (start, stop, count)}
+REAL_FAMILY_SWEEPS = {
+    "rashid": [{"theta": (-3, 3, 13)}],
+    "generalized-werner": [{"p": (0, 1, 6), "theta": (-2, 2, 9)}, {"p": (1, 1, 1), "theta": (-2, 2, 9)}],
+    "tripartite-qutrit-e3": [{"theta1": (-2, 2, 5), "theta2": (-2, 2, 7)}],
+    "ghz": [{"parties": (n, n, 1), "level": (level, level, 1)} for n in range(2, 6) for level in (2, 3)]
+           + [{"parties": (n, n, 1), "level": (2, 2, 1)} for n in range(6, 9)],
+}
+
+
+@pytest.mark.parametrize("family", REAL_FAMILY_SWEEPS)
+def test_real_family_sweeps_match_complex_stacks(family, monkeypatch, capsys):
+    """The real families build real stacks, and each of their grids gives
+    the same CSV bytes, with every output that applies to it, as the complex
+    copies of those stacks.  The pure-only outputs apply to pure grids."""
+    stacks = FAMILY_BUILDERS[family][2]
+    for grid in REAL_FAMILY_SWEEPS[family]:
+        points = np.array(list(product(*(np.linspace(*spec) for spec in grid.values()))))
+        groups = stacks(**dict(zip(grid, points.T)))
+        assert all(mats.dtype == float for _, _, mats in groups)
+        pure = all((OUTPUTS["purity"][2](dims, mats, None, None) > 1 - 1e-8).all() for _, dims, mats in groups)
+        outputs = [name for name, (_, applies, _) in OUTPUTS.items()
+                   if all(applies(dims) for _, dims, _ in groups) and (pure or name not in ("concurrence", "entropy"))]
+        argv = ["sweep", "--family", family, "--outputs", ",".join(outputs)]
+        argv += [arg for name, (a, b, n) in grid.items() for arg in ("--param", f"{name}={a}:{b}:{n}")]
+        code, real_csv, err = run_cli(argv, capsys)
+        assert code == 0 and err == ""
+        with monkeypatch.context() as patch:
+            patch.setitem(FAMILY_BUILDERS, family, FAMILY_BUILDERS[family][:2] + (
+                lambda **params: [(idx, dims, mats.astype(complex)) for idx, dims, mats in stacks(**params)],))
+            assert run_cli(argv, capsys) == (0, real_csv, "")
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 4), (2, 2, 2), (3, 3, 3)], ids=str)
+def test_output_columns_read_real_stacks_as_complex_copies(dims, rng):
+    """Each applying output gives bit for bit the same values on a stack of
+    random real states as on its complex copy: pure states for every
+    output, mixed ones of rank 2 for all but the pure-only outputs."""
+    d = math.prod(dims)
+    factors = rng.normal(size=(8, d, 2))
+    stacks = {True: pure_states(rng.normal(size=(8, d))),
+              False: factors @ factors.transpose(0, 2, 1) / (factors ** 2).sum(axis=(1, 2))[:, None, None]}
+    for pure, mats in stacks.items():
+        names = [name for name, (_, applies, _) in OUTPUTS.items()
+                 if applies(dims) and (pure or name not in ("concurrence", "entropy"))]
+        real, complex_ = evaluate(OUTPUTS, dims, mats, names), evaluate(OUTPUTS, dims, mats.astype(complex), names)
+        for name in names:
+            assert np.asarray(real[name]).tobytes() == np.asarray(complex_[name]).tobytes(), name
 
 
 def xi_or_nan(rho, dec) -> float:

@@ -10,7 +10,7 @@ from helpers import (SX, dm_of, kron_all, oracle_ptrace,
 
 from mpcorr.density import (DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError,
                             StateValidationError, TraceNotOneError, from_pure, mix, partial_trace,
-                            partial_transpose, purity, state_from_json_dict,
+                            partial_transpose, pure_states, purity, state_from_json_dict,
                             state_to_json_dict, tensor, validate)
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -53,6 +53,40 @@ class TestFromPure:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(ValueError, match="non-finite"):
             from_pure([bad, 0, 0, 1], (2, 2))
+
+
+class TestPureStates:
+    """A real row of amplitudes gives a float64 stack that is bit for bit the
+    real part of the complex stack of the same row, whose imaginary part is
+    zero; a complex row keeps the complex stack."""
+
+    @staticmethod
+    def rows(rng):
+        dense = rng.normal(size=(3, 6))
+        sparse = dense * (rng.random((3, 6)) < 0.4)
+        sparse[:, 1] = -1.0
+        signed_zeros = np.array([[-0.0, 1.0, -2.0, 0.0, 0.5, -0.0]])
+        huge = np.array([[1e308, -1.7e308, 0.0, 1e308, -0.0, 3.0],        # norm past the float range
+                         [1.5e308, 1.5e308, 1.5e308, -1.5e308, 0.0, 0.0],
+                         [1e-290, -3e-295, 0.0, 0.0, 0.0, 2e-299]])         # scaled up by 2^963
+        return np.concatenate([dense, sparse, signed_zeros, huge])
+
+    def test_real_rows_give_real_part_of_complex_stack(self, rng):
+        amplitudes = self.rows(rng)
+        real, complex_ = pure_states(amplitudes), pure_states(amplitudes.astype(complex))
+        assert real.dtype == float and complex_.dtype == complex
+        assert real.tobytes() == np.ascontiguousarray(complex_.real).tobytes()
+        assert not complex_.imag.any()
+        assert np.all(np.isfinite(real)) and np.abs(np.trace(real, axis1=1, axis2=2) - 1).max() < 1e-15
+
+    def test_integer_rows_are_real(self):
+        assert pure_states([[1, 0, 0, 1]]).dtype == float
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_row_rejected(self, dtype, rng):
+        amplitudes = np.concatenate([self.rows(rng), np.zeros((1, 6))]).astype(dtype)
+        with pytest.raises(ValueError, match="amplitude vector is zero"):
+            pure_states(amplitudes)
 
 
 class TestValidate:

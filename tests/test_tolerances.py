@@ -147,6 +147,17 @@ def test_imaginary_residue(factor, crossed):
 
 
 @SIDES
+def test_imaginary_residue_of_real_stack(factor, crossed):
+    # 1/4 + (delta / 4) iY x 1 is real and not symmetric; its moment <Y x 1> is i delta
+    delta = factor * IMAG_TOL
+    i_y = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    mats = (np.eye(4) / 4 + delta / 4 * np.kron(i_y, I2))[None]
+    result = expect(crossed, ValueError, lambda: decompose_stack((2, 2), mats))
+    if crossed:
+        assert "moment tensor has imaginary residue" in str(result)
+
+
+@SIDES
 def test_null_projection(factor, crossed):
     w = factor * NULL_PROJECTION_TOL
     zero_zero = np.diag([1.0, 0.0, 0.0, 0.0])
