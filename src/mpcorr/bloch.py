@@ -23,21 +23,23 @@ per party and no partial traces.
 :func:`decompose` (:func:`decompose_stack` for a stack) is the one way in,
 for any shape of two or more parties; :func:`coherence_vector` gives n of one party.
 
-A real stack, as every sweepable family builds, takes a real map.  The
-identity, symmetric and diagonal generators are real and the antisymmetric
-ones are i times real, so each party's forward matrix is a real one R times
-i on the antisymmetric columns, and for a real rho T = i^k x, with x the real
-mode products with R and k the number of antisymmetric generators of the
-entry.  T is therefore Re(i^k) x, which is x, 0 or -x as k mod 4 is 0, odd
-or 2; on the entries of odd k, x is the imaginary part, held to IMAG_TOL as a
-complex T's is.  A complex stack, which every DensityMatrix is, keeps the
-complex map.
+The map is real both ways, for real and complex stacks.  The identity,
+symmetric and diagonal generators are real and the antisymmetric ones i
+times real, so T = Re(i^k (x + i y)), with x and y the real mode products
+of Re rho and Im rho and k the number of antisymmetric generators of the
+entry; Im(i^k (x + i y)), zero for a Hermitian rho, is held to IMAG_TOL.
+A real stack, as every sweepable family builds, has y = 0, never computed:
+T = Re(i^k) x is x, 0 or -x as k mod 4 is 0, odd or 2, and x is the
+imaginary part on the entries of odd k.  A complex stack's T gets + 0.0,
+so an analytic zero is +0.0 whatever sign the matrix products leave.
 
 :func:`reconstruct` inverts the map.  It refills T from the vectors and
 tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
 A_{m_1} x ... with weight 1 for the identity and n_I / 2 for a generator of
 party I, from Tr(1) = n and Tr(G_i G_j) = 2 delta_ij.  On a correlation
-sector S this is the prefactor prod_{I in S} (n_I / 2).
+sector S this is the prefactor prod_{I in S} (n_I / 2).  With the phases
+taken off the generators, rho is the real inverse products of Re(i^k) T
+plus i times those of Im(i^k) T.
 """
 
 import operator
@@ -56,21 +58,12 @@ from .su_basis import gell_mann_basis
 IMAG_TOL = 1e-12
 
 
-def _require_real(residue: np.ndarray, what: str) -> None:
-    """Refuse an imaginary part that is zero analytically unless it is within
+def _require_real(residue: np.ndarray) -> None:
+    """Refuse an imaginary part of T, zero analytically, unless it is within
     IMAG_TOL; a large residue means a bug upstream, not data to keep."""
     resid = float(np.abs(residue).max()) if residue.size else 0.0
     if resid > IMAG_TOL:
-        raise ValueError(f"{what} has imaginary residue {resid:.3e} (tolerance {IMAG_TOL:.1e})")
-
-
-def _real_within(arr: np.ndarray, what: str) -> np.ndarray:
-    """The real part of a complex array, read-only, after :func:`_require_real`
-    on its imaginary part."""
-    _require_real(arr.imag, what)
-    out = arr.real.copy()
-    out.setflags(write=False)
-    return out
+        raise ValueError(f"moment tensor has imaginary residue {resid:.3e} (tolerance {IMAG_TOL:.1e})")
 
 
 @dataclass(frozen=True)
@@ -107,18 +100,33 @@ class BlochDecomposition:
 
 
 @lru_cache(maxsize=None)
-def _augmented(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mode-product matrices of one n-level party, both (n^2, n^2).  Forward
-    maps (row, col) of rho to m by A_m[col, row], so its products give
-    Tr(rho A_m); inverse maps m back to (row, col) by the dual basis
-    A_m / Tr(A_m^2), the weights 1/n for the identity and 1/2 for a generator."""
+def _augmented(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real mode-product factors of one n-level party, both (n^2, n^2), and
+    the parity a of its augmented generators A_m = i^(a_m) R_m, 1 on the
+    antisymmetric ones.  Forward maps (row, col) of rho to m by R_m[col, row];
+    inverse maps m back to (row, col) by R_m / Tr(A_m^2), the weights 1/n for
+    the identity and 1/2 for a generator."""
     aug = np.concatenate([np.eye(n, dtype=complex)[None], gell_mann_basis(n)])
+    odd = (aug.imag != 0).any(axis=(1, 2))
+    real = np.where(odd[:, None, None], aug.imag, aug.real)
     norms = np.array([n] + [2] * (n * n - 1), dtype=float)
-    forward = aug.transpose(2, 1, 0).reshape(n * n, n * n)
-    inverse = (aug / norms[:, None, None]).reshape(n * n, n * n)
-    for mat in (forward, inverse):
-        mat.setflags(write=False)
-    return forward, inverse
+    forward = real.transpose(2, 1, 0).reshape(n * n, n * n)
+    inverse = (real / norms[:, None, None]).reshape(n * n, n * n)
+    parity = odd.astype(int)
+    for arr in (forward, inverse, parity):
+        arr.setflags(write=False)
+    return forward, inverse, parity
+
+
+@lru_cache(maxsize=None)
+def _parity(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Re(i^k) and Im(i^k) on each entry of T, for k the number of its
+    antisymmetric generators, and the flat indices of the entries with k odd."""
+    k = reduce(np.add.outer, [_augmented(d)[2] for d in dims]) % 4
+    re, im = np.array([1.0, 0.0, -1.0, 0.0])[k], np.array([0.0, 1.0, 0.0, -1.0])[k]
+    for w in (re, im):
+        w.setflags(write=False)
+    return re, im, np.flatnonzero(k % 2)
 
 
 def _interleave(n: int) -> tuple[int, ...]:
@@ -143,51 +151,36 @@ def _contract(dims: tuple[int, ...], mats: np.ndarray, forward: list[np.ndarray]
 
 
 def _moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
-    """The complex moment tensors T[b, m_1, ..., m_N] of a (B, d, d) stack."""
-    return _contract(dims, mats, [_augmented(d)[0] for d in dims])
-
-
-@lru_cache(maxsize=None)
-def _real_forward(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real factor R of one party's forward matrix F = R diag(i^a), and a:
-    1 on the columns of the antisymmetric generators, which are i times
-    real, and 0 on the identity, symmetric and diagonal ones, which are real."""
-    forward = _augmented(n)[0]
-    odd = (forward.imag != 0).any(axis=0)
-    real = np.where(odd, forward.imag, forward.real)
-    real.setflags(write=False)
-    return real, odd.astype(int)
-
-
-@lru_cache(maxsize=None)
-def _parity(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Re(i^k) on each entry of T, for k the number of its antisymmetric
-    generators, and the flat indices of the entries with k odd, where it is 0."""
-    k = reduce(np.add.outer, [_real_forward(d)[1] for d in dims])
-    weight = np.array([1.0, 0.0, -1.0, 0.0])[k % 4]
-    weight.setflags(write=False)
-    return weight, np.flatnonzero(k % 2)
-
-
-def _real_moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
-    """The moment tensors of a real (B, d, d) stack, read-only: T = Re(i^k) x
-    for x the real mode products, whose entries of odd k are the imaginary
-    part of T."""
-    x = _contract(dims, mats, [_real_forward(d)[0] for d in dims])
-    weight, odd = _parity(dims)
-    _require_real(x.reshape(-1, weight.size)[:, odd], "moment tensor")
-    x *= weight
-    x.setflags(write=False)
-    return x
+    """The real, read-only moment tensors T[b, m_1, ..., m_N] of a (B, d, d)
+    stack: T = Re(i^k (x + i y)) for x and y the forward products of Re rho
+    and Im rho, with Im(i^k (x + i y)) held to IMAG_TOL."""
+    forward = [_augmented(d)[0] for d in dims]
+    re, im, odd = _parity(dims)
+    if np.iscomplexobj(mats):
+        x, y = (_contract(dims, part, forward) for part in (mats.real, mats.imag))
+        _require_real(im * x + re * y)
+        t = re * x - im * y + 0.0           # + 0.0: an analytic zero is +0.0 whatever the GEMM leaves
+    else:
+        t = _contract(dims, mats, forward)
+        _require_real(t.reshape(-1, re.size)[:, odd])
+        t *= re
+    t.setflags(write=False)
+    return t
 
 
 def _from_moments(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
-    """The (B, d, d) stack of matrices whose moment tensors are t[b]."""
-    n = len(dims)
-    out = _mode_products(np.moveaxis(t, 0, -1), [_augmented(d)[1] for d in dims])
-    back = (0,) + tuple(1 + a for a in np.argsort(_interleave(n)))
+    """The (B, d, d) stack of matrices whose real moment tensors are t[b]:
+    the inverse mode products of Re(i^k) t plus i times those of Im(i^k) t."""
+    inverse = [_augmented(d)[1] for d in dims]
+    back = (0,) + tuple(1 + a for a in np.argsort(_interleave(len(dims))))
     size = prod(dims)
-    return out.reshape((len(t),) + tuple(d for d in dims for _ in range(2))).transpose(back).reshape(-1, size, size)
+
+    def chain(weight):
+        out = _mode_products(np.moveaxis(weight * t, 0, -1), inverse)
+        return out.reshape((len(t),) + tuple(d for d in dims for _ in range(2))).transpose(back).reshape(-1, size, size)
+
+    re, im, _ = _parity(dims)
+    return chain(re) + 1j * chain(im)
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +206,7 @@ def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     is the one-state case."""
     _require_parties(dims)
     n = len(dims)
-    t = _real_within(_moments(dims, mats), "moment tensor") if np.iscomplexobj(mats) else _real_moments(dims, mats)
+    t = _moments(dims, mats)
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
     ones = np.ones((len(t), 1))
     outer = [np.concatenate((ones, v), axis=1).reshape((-1,) + (1,) * p + (v.shape[1] + 1,) + (1,) * (n - 1 - p))
@@ -236,7 +229,7 @@ def coherence_vector(rho: DensityMatrix) -> np.ndarray:
     generator slice of its moment tensor."""
     if rho.num_parties != 1:
         raise ValueError(f"coherence_vector needs a single-party state, got dims {rho.dims}")
-    return _real_within(_moments(rho.dims, rho.matrix[None])[0, 1:], "coherence vector")
+    return _moments(rho.dims, rho.matrix[None])[0, 1:]
 
 
 def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:

@@ -102,10 +102,11 @@ def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
 
 def _invariants(vectors, c):
     """xi, n_A . n_B and n_A . C . n_B of one two-qubit state's vectors and
-    C, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12."""
+    C, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
+    run in a fixed order, so a state gives the same bits alone as in a stack."""
     na, nb = vectors
     na_nb = (na * nb).sum(axis=-1)
-    na_c_nb = np.einsum("...i,...ij,...j->...", na, c, nb)
+    na_c_nb = ((na[..., :, None] * c).sum(axis=-2) * nb).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = np.trace(c, axis1=-2, axis2=-1) - na_c_nb / na_nb
     return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb

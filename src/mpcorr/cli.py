@@ -23,8 +23,8 @@ parameter-grid order.  A sweep evaluates its grid in one thread, as stacks of
 at most SWEEP_CHUNK states from :func:`families.family_stacks`; each cell
 depends on its own point only, so the bytes do not depend on how the grid is
 split into chunks or into commands.  The sweepable families build real
-stacks, which the moment map evaluates in real arithmetic with the bytes the
-complex map gives.
+stacks, for which the moment map skips the products of the imaginary part;
+a cell has the bytes of the same state given as a complex stack.
 
 On glibc, a process that has run :func:`main` keeps up to 64 MiB of freed
 memory for reuse, so the next chunk or command does not fault a freed stack's

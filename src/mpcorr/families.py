@@ -4,10 +4,10 @@ the points of a sweep.  Every output is a valid DensityMatrix.  The
 ``*_states`` forms take arrays of parameters and return a (B, d, d) stack; the
 scalar constructor is their one-point case.  A stack's dtype follows the
 amplitudes (see :func:`density.pure_states`): every sweepable family has real
-amplitudes, so its stacks are float64 and take the real moment map of
-:mod:`bloch`, while a scalar constructor's DensityMatrix is complex.  An
-overflow, in an exponential or in the Bloch norms and weights of a mixture,
-raises FloatingPointError.
+amplitudes, so its stacks are float64 and the moment map of :mod:`bloch`
+skips the products of their imaginary part, while a scalar constructor's
+DensityMatrix is complex.  An overflow, in an exponential or in the Bloch
+norms and weights of a mixture, raises FloatingPointError.
 """
 
 from math import sqrt

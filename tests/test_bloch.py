@@ -12,8 +12,8 @@ from helpers import (GELL_MANN, PAULI, dm_of, kron_all, oracle_basis,
                      oracle_ptrace, oracle_vectors, random_density_mat,
                      random_pure_vec, random_unitary)
 
-from mpcorr.bloch import (BlochDecomposition, _real_within, coherence_vector,
-                          decompose, decompose_stack, reconstruct)
+from mpcorr.bloch import (BlochDecomposition, coherence_vector, decompose,
+                          decompose_stack, reconstruct)
 from mpcorr.density import DensityMatrix, from_pure, partial_trace, pure_states, tensor
 from mpcorr.families import (generalized_werner_states, ghz, rashid_states,
                              tripartite_qutrit_e3_states)
@@ -417,13 +417,6 @@ def test_decompose_dispatch(rng):
         decompose(rand_state((2,), rng))
 
 
-def test_real_within_guards_imaginary_residue():
-    clean = _real_within(np.array([1.0 + 1e-15j]), "x")
-    assert clean.dtype == float
-    with pytest.raises(ValueError, match="imaginary"):
-        _real_within(np.array([1.0 + 1e-6j]), "x")
-
-
 REAL_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4), (2,) * 5]
 
 
@@ -456,10 +449,11 @@ def same_bits(a, b) -> bool:
 @settings(max_examples=8, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_real_stack_decomposes_as_its_complex_copy(dims, seed):
-    """The real moment map gives the complex map's vectors and tensors bit
-    for bit.  Only the sign of an exact zero may differ: on entries with an
-    odd number of antisymmetric generators the complex map keeps whatever
-    sign its complex GEMM leaves on a zero real part."""
+    """A real stack gives its complex copy's vectors and tensors bit for
+    bit.  Only the sign of an exact zero may differ: the complex branch
+    pins zeros to +0.0, while the real branch's x *= Re(i^k) may still leave
+    -0.0, on the entries of odd k where 0 multiplies a negative residue and
+    where -1 multiplies a zero."""
     stacks = [real_states(dims, np.random.default_rng(seed))]
     if dims in FAMILY_STACKS:
         stacks.append(FAMILY_STACKS[dims]())

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
+from mpcorr import classify
 from mpcorr.bloch import BlochDecomposition, decompose
 from mpcorr.classify import (COLUMNS, PT_NEGATIVITY_TOL, Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
@@ -344,6 +345,18 @@ def test_hypothesis_report_fields_are_row_values(seed):
         else:
             want = Category.MIXED_ENTANGLED if row["ph"] else Category.CLASSICALLY_CORRELATED
         assert rep.category is want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_hypothesis_invariant_rows_do_not_depend_on_the_stack(seed):
+    # each state's xi, n_A . n_B and n_A . C . n_B in a stack are its values alone, bit for bit
+    mats = np.stack([rho.matrix for rho in report_states(seed)])
+    names = ("xi", "nanb", "nacnb")
+    rows = evaluate(classify._REPORT, (2, 2), mats, names)
+    for b in range(len(mats)):
+        alone = evaluate(classify._REPORT, (2, 2), mats[b:b + 1], names)
+        assert all(rows[name][b:b + 1].tobytes() == alone[name].tobytes() for name in names)
 
 
 def test_report_states_cover_every_pure_category_and_degenerate_invariants():

@@ -4,9 +4,11 @@ import json
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
 from itertools import product
 from types import SimpleNamespace
 
@@ -115,6 +117,22 @@ class TestDecompose:
         assert code == 0
         c = np.array(json.loads(out)["pair_correlations"]["0-1"])
         assert np.abs(c + np.eye(3)).max() < 1e-12
+
+    def test_analytic_zeros_print_without_sign(self, tmp_path, capsys, rng):
+        """No report line ends in -0.0: a (3, 3) state of dense real
+        amplitudes, sparse-real and real-product states of four shapes, and
+        the three-qutrit family at a generic point."""
+        docs = [{"dims": [3, 3], "pure": [[float(a), 0.0] for a in rng.normal(size=9)]},
+                {"family": "tripartite-qutrit-e3", "params": {"theta1": 0.2, "theta2": -0.7}}]
+        for dims in [(2, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]:
+            sparse = rng.normal(size=math.prod(dims)) * (rng.random(math.prod(dims)) < 0.3)
+            sparse[0] = 1.0
+            factored = reduce(np.kron, [rng.normal(size=n) * (rng.random(n) < 0.7) + np.eye(n)[0] for n in dims])
+            docs += [{"dims": list(dims), "pure": [[float(a), 0.0] for a in amps]} for amps in (sparse, factored)]
+        for k, doc in enumerate(docs):
+            code, out, err = run_cli(["decompose", "--input", write_json(tmp_path / f"{k}.json", doc)], capsys)
+            assert (code, err) == (0, "")
+            assert not re.search(r"-0\.0,?$", out, re.MULTILINE), doc
 
 
 class TestMeasure:

@@ -14,7 +14,7 @@ import pytest
 from mpcorr import classify
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
-                             ph_condition_explicit, ph_invariants, ph_test)
+                             ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
 from mpcorr.density import DensityMatrix, NotHermitianError, NotPSDError, TraceNotOneError, validate
 from mpcorr.exchange import NullProjectionError, project_exchange
 from mpcorr.families import generalized_werner
@@ -140,10 +140,14 @@ def test_purity(factor, crossed):
 
 @SIDES
 def test_imaginary_residue(factor, crossed):
-    # 1/4 + i (delta / 4) X x 1 is not Hermitian; its moment <X x 1> is i delta
+    # 1/4 + i (delta / 4) X x 1 is not Hermitian; its moment <X x 1> is i delta,
+    # which the sign-flip PH test reads too
     delta = factor * IMAG_TOL
     rho = DensityMatrix((2, 2), np.eye(4) / 4 + 1j * delta / 4 * np.kron(X, I2))
-    expect(crossed, ValueError, lambda: decompose(rho))
+    for call in (decompose, ph_test_signflip):
+        result = expect(crossed, ValueError, lambda: call(rho))
+        if crossed:
+            assert "moment tensor has imaginary residue" in str(result)
 
 
 @SIDES
