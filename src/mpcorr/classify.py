@@ -13,18 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, _from_moments, _moments
+from .bloch import BlochDecomposition, _augmented, _from_moments, _moments, decompose_stack
 from .density import DensityMatrix, HermitianOperator, _partial_transpose, _pure, _purity, _require_finite
-from .measures import evaluate, require_column
+from .measures import Context, evaluate, require_column
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 BLOCH_DEGENERACY_TOL = 1e-12
-
-# Multiplies party B's axis (identity, sigma_x, sigma_y, sigma_z) of a
-# two-qubit moment tensor.
-_SIGMA_Y_FLIP = np.array([1.0, 1.0, -1.0, 1.0])
 
 
 class DegenerateBlochVectorsError(ValueError):
@@ -100,15 +96,15 @@ def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(_partial_transpose(dims, mats, 1).astype(complex, copy=False)).min(axis=-1)
 
 
-def _invariants(vectors, c):
-    """xi, n_A . n_B and n_A . C . n_B of one two-qubit state's vectors and
-    C, or of stacks of them; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
+def _invariants(ctx: Context):
+    """xi, n_A . n_B and n_A . C . n_B of the two-qubit states of a context,
+    from its vectors and C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
     run in a fixed order, so a state gives the same bits alone as in a stack."""
-    na, nb = vectors
+    (na, nb), sectors = ctx(decompose_stack)
     na_nb = (na * nb).sum(axis=-1)
-    na_c_nb = ((na[..., :, None] * c).sum(axis=-2) * nb).sum(axis=-1)
+    na_c_nb = ((na[..., :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.trace(c, axis1=-2, axis2=-1) - na_c_nb / na_nb
+        xi = np.trace(sectors[(0, 1)], axis1=-2, axis2=-1) - na_c_nb / na_nb
     return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb
 
 
@@ -125,31 +121,29 @@ def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
     return CorrelationSpectrum(singular_values=sv, nsv_count=int(count), threshold_used=float(threshold))
 
 
+def _verdict(dims: tuple[int, int], min_eig: float) -> PHVerdict:
+    entangled = min_eig < -PT_NEGATIVITY_TOL
+    return PHVerdict(min_eig, entangled, conclusive=entangled or sorted(dims) in ([2, 2], [2, 3]))
+
+
 def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
     column = require_column(COLUMNS, "pt_min", rho.dims)
     HermitianOperator(rho.dims, rho.matrix)     # NotHermitianError for a hand-built non-Hermitian matrix
-    min_eig = float(column(rho.dims, rho.matrix, None, None))
-    entangled = min_eig < -PT_NEGATIVITY_TOL
-    conclusive = entangled or sorted(rho.dims) in ([2, 2], [2, 3])
-    return PHVerdict(min_eigenvalue=min_eig, entangled=entangled, conclusive=conclusive)
+    return _verdict(rho.dims, float(column(Context(rho.dims, rho.matrix))))
 
 
 def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
-    """Decomposition-level PH test for two qubits.
-
-    Transposing party B is the same as flipping the sign of its sigma_y axis
-    of the moment tensor (sigma_x, sigma_z and the identity are symmetric,
-    sigma_y antisymmetric), which flips n_{y,B} and the C column that
-    multiplies sigma_{y,B}; the flipped tensor is mapped back to a matrix and
-    checked for positivity.  Agrees with :func:`ph_test`.
-    """
-    if rho.dims != (2, 2):
-        raise ValueError(f"sign-flip PH test supports two qubits only, got dims {rho.dims}")
-    pt = _from_moments(rho.dims, _moments(rho.dims, rho.matrix[None]) * _SIGMA_Y_FLIP)
-    min_eig = float(np.linalg.eigvalsh(pt[0]).min())
-    return PHVerdict(min_eigenvalue=min_eig, entangled=min_eig < -PT_NEGATIVITY_TOL, conclusive=True)
+    """Decomposition-level PH test for any bipartite state: transposing party
+    B negates each moment-tensor entry whose B index is an antisymmetric
+    generator (for two qubits sigma_y, so n_{y,B} and the C column of
+    sigma_{y,B}); the flipped tensor, mapped back to a matrix, is checked for
+    positivity.  Agrees with :func:`ph_test`."""
+    require_column(COLUMNS, "pt_min", rho.dims)
+    flip = 1 - 2 * _augmented(rho.dims[1])[2]
+    pt = _from_moments(rho.dims, _moments(rho.dims, rho.matrix[None]) * flip)
+    return _verdict(rho.dims, float(np.linalg.eigvalsh(pt[0]).min()))
 
 
 def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
@@ -158,7 +152,8 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
     Undefined (raises DegenerateBlochVectorsError) when |n_A . n_B| <= 1e-12.
     """
     require_column(COLUMNS, "xi", decomp.dims)
-    xi, na_nb, na_c_nb = _invariants(decomp.coherence_vectors, decomp.pair(0, 1))
+    xi, na_nb, na_c_nb = _invariants(Context(decomp.dims, tensors=(decomp.coherence_vectors,
+                                                                   {(0, 1): decomp.pair(0, 1)})))
     if np.isnan(xi):
         raise DegenerateBlochVectorsError(
             f"n_A . n_B = {na_nb:.3e}; xi is undefined for (near-)orthogonal Bloch vectors")
@@ -166,14 +161,14 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
 
 
 def ph_condition_explicit(inv: PHInvariants) -> bool:
-    """Entanglement condition written in the invariants alone:
-    -xi/2 + (-xi + sqrt(xi^2 - 4 n_A.n_B))/2 >= 1, equivalently the largest
-    root of (x + xi/2)^2 + xi (x + xi/2) + n_A.n_B = 0 exceeds unity.
-
-    Boundary states (value within 1e-10 of 1) are reported entangled here
-    while the spectral test sees a zero eigenvalue as separable; off the
-    boundary the two agree.  A NaN or infinite invariant raises ValueError.
-    """
+    """Entanglement condition in the invariants alone, for the generalized
+    Werner family: -xi/2 + (-xi + sqrt(xi^2 - 4 n_A.n_B))/2 >= 1, that is the
+    largest root of (x + xi/2)^2 + xi (x + xi/2) + n_A.n_B = 0 exceeds unity.
+    On that family it agrees with the spectral test off the boundary (a value
+    within 1e-10 of 1 is reported entangled).  On other two-qubit states it
+    may disagree with :func:`ph_test` or raise ValueError for a negative
+    discriminant, so it is no criterion there.  A NaN or infinite invariant
+    raises ValueError."""
     _require_finite(np.array([inv.xi, inv.na_dot_nb, inv.na_dot_c_nb]), "PH invariants")
     disc = inv.xi * inv.xi - 4.0 * inv.na_dot_nb
     if disc < 0:
@@ -194,40 +189,34 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
-    row = {name: float(values[0]) for name, values in evaluate(_REPORT, rho.dims, rho.matrix[None], _REPORT).items()}
-    nsv_count, entangled = int(row["nsv"]), row["pt_min"] < -PT_NEGATIVITY_TOL
-    if _pure(row["purity"]):
-        category = Category.PURE_PRODUCT if nsv_count == 0 else Category.PURE_ENTANGLED
-    elif nsv_count == 0:
+    ctx = Context(rho.dims, rho.matrix[None])
+    purity, nsv, pt_min = (float(values[0]) for values in evaluate(COLUMNS, ctx, ("purity", "nsv", "pt_min")).values())
+    nsv, entangled = int(nsv), pt_min < -PT_NEGATIVITY_TOL
+    if _pure(purity):
+        category = Category.PURE_PRODUCT if nsv == 0 else Category.PURE_ENTANGLED
+    elif nsv == 0:
         category = Category.UNCORRELATED
     elif entangled:
         category = Category.MIXED_ENTANGLED
     else:
         category = Category.CLASSICALLY_CORRELATED
-    invariants = None if np.isnan(row["xi"]) else PHInvariants(row["xi"], row["nanb"], row["nacnb"])
-    return ClassificationReport(category=category, nsv_count=nsv_count, ph_entangled=entangled,
-                                min_pt_eigenvalue=row["pt_min"], invariants=invariants, purity=row["purity"])
+    inv = PHInvariants(*(float(values[0]) for values in _invariants(ctx)))
+    return ClassificationReport(category=category, nsv_count=nsv, ph_entangled=entangled, min_pt_eigenvalue=pt_min,
+                                invariants=None if np.isnan(inv.xi) else inv, purity=purity)
 
 
 # The classification quantities as columns, in the form of measures.COLUMNS:
 # the NSV count, the PH verdict (0/1), the two-qubit invariants, xi being NaN
-# where n_A . n_B degenerates, the purity and the least PT eigenvalue.  Each
-# column is its helper above, applied to the whole stack.
+# where n_A . n_B degenerates, the purity and the least PT eigenvalue.  nsv
+# and the invariants read the context's decomposition, ph and pt_min its one
+# PT eigensolve, and purity its matrices.
 COLUMNS = {
     "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
-            lambda dims, mats, vectors, sectors: _spectrum(sectors[(0, 1)])[2]),
+            lambda ctx: _spectrum(ctx(decompose_stack)[1][(0, 1)])[2]),
     "ph": ("a bipartite state", lambda dims: len(dims) == 2,
-           lambda dims, mats, vectors, sectors: (_pt_min(dims, mats) < -PT_NEGATIVITY_TOL).astype(int)),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2),
-           lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[0]),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2),
-             lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[1]),
-    "purity": ("any state", lambda dims: True, lambda dims, mats, vectors, sectors: _purity(mats)),
-    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2,
-               lambda dims, mats, vectors, sectors: _pt_min(dims, mats)),
+           lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int)),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: _invariants(ctx)[0]),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: _invariants(ctx)[1]),
+    "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats)),
+    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min)),
 }
-
-# The report's rows: those of COLUMNS it reads and n_A . C . n_B, which only its invariants carry.
-_REPORT = {**{name: COLUMNS[name] for name in ("purity", "nsv", "pt_min", "xi", "nanb")},
-           "nacnb": ("a two-qubit state", lambda dims: dims == (2, 2),
-                     lambda dims, mats, vectors, sectors: _invariants(vectors, sectors[(0, 1)])[2])}

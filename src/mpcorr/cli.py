@@ -47,7 +47,7 @@ from .bloch import decompose
 from .classify import classify_two_qubit
 from .density import DensityMatrix, StateValidationError, state_from_json_dict, state_to_json_dict
 from .families import FAMILY_BUILDERS, build_family, family_row, family_stacks
-from .measures import evaluate, measure_set
+from .measures import Context, evaluate, measure_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -174,7 +174,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
         chunk = np.array(list(islice(points, SWEEP_CHUNK)))
         cells = np.empty((len(chunk), len(outputs)), dtype=object)
         for idx, dims, mats in family_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
-            for j, values in enumerate(evaluate(OUTPUTS, dims, mats, outputs).values()):
+            for j, values in enumerate(evaluate(OUTPUTS, Context(dims, mats), outputs).values()):
                 cells[idx, j] = np.asarray(values).tolist()
         # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
         rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]

@@ -48,7 +48,7 @@ def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
         raise ValueError(f"e_c_bipartite needs two parties and C of shape (n^2 - 1, m^2 - 1), "
                          f"got C of shape {c.shape} for dims {dims}")
     _require_finite(c, "C")
-    return _one("ec", dims, sectors={(0, 1): c})
+    return _one("ec", Context(dims, tensors=((), {(0, 1): c})))
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:
@@ -60,38 +60,51 @@ def e_c_multipartite(decomp: BlochDecomposition) -> float:
     """
     if len(decomp.dims) < 3:
         raise ValueError(f"multipartite measure needs >= 3 parties, got dims {decomp.dims}")
-    return _one("ec", decomp.dims, sectors=decomp.correlations)
+    return _one("ec", Context(decomp.dims, tensors=((), decomp.correlations)))
 
 
 def e_d(decomp: BlochDecomposition) -> float:
     """Tripartite correlation measure K * sum D_ijk^2 (qubits or qutrits)."""
-    return _one("ed", decomp.dims, sectors=decomp.correlations)
+    return _one("ed", Context(decomp.dims, tensors=((), decomp.correlations)))
 
 
 def e_e(decomp: BlochDecomposition) -> float:
     """Four-party correlation measure (1/8) * sum E_ijkl^2 for four qubits;
     a missing four-party tensor counts as zero."""
-    return _one("ee", decomp.dims, sectors=decomp.correlations)
+    return _one("ee", Context(decomp.dims, tensors=((), decomp.correlations)))
 
 
 def concurrence_pure(rho: DensityMatrix) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) for a pure bipartite state."""
-    return _one("concurrence", rho.dims, rho.matrix)
+    return _one("concurrence", Context(rho.dims, rho.matrix))
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy (bits) of the reduced state of a pure bipartite
     state, with 0 log 0 = 0."""
-    return _one("entropy", rho.dims, rho.matrix)
+    return _one("entropy", Context(rho.dims, rho.matrix))
+
+
+class Context:
+    """A (B, d, d) stack or one (d, d) state as the rows read it: ``dims``,
+    ``mats`` and ``ctx(f)``, the value f(dims, mats) of a shared quantity
+    such as decompose_stack, computed on its first read and kept with the
+    context.  ``tensors`` is decompose_stack's value where no mats are given."""
+
+    def __init__(self, dims: tuple[int, ...], mats: np.ndarray | None = None, tensors=None):
+        self.dims, self.mats, self._memo = dims, mats, {} if tensors is None else {decompose_stack: tensors}
+
+    def __call__(self, f):
+        return self._memo[f] if f in self._memo else self._memo.setdefault(f, f(self.dims, self.mats))
 
 
 def _sector_norm(parties: int, weight):
     """weight(dims) times the summed squares of the correlation tensors on
     ``parties`` parties: the pairwise sum for ec, D for ed, E for ee.  Each
-    tensor is summed over its last ``parties`` axes, so ``sectors`` may hold
+    tensor is summed over its last ``parties`` axes, so a context may hold
     one state's tensors or (B, ...) stacks."""
-    return lambda dims, mats, vectors, sectors: weight(dims) * sum(
-        np.square(c).sum(axis=tuple(range(-parties, 0))) for s, c in sectors.items() if len(s) == parties)
+    return lambda ctx: weight(ctx.dims) * sum(np.square(c).sum(axis=tuple(range(-parties, 0)))
+                                              for s, c in ctx(decompose_stack)[1].items() if len(s) == parties)
 
 
 def require_column(table, name: str, dims: tuple[int, ...]):
@@ -103,26 +116,25 @@ def require_column(table, name: str, dims: tuple[int, ...]):
     return column
 
 
-def evaluate(table, dims: tuple[int, ...], mats: np.ndarray, names) -> dict:
-    """The rows ``names`` of a column table over a (B, d, d) stack of states of
-    two or more parties, one array of B values per row, from one decomposition
-    of the stack; ValueError if a row does not apply to ``dims``."""
-    columns = {name: require_column(table, name, dims) for name in names}
-    vectors, sectors = decompose_stack(dims, mats)
-    return {name: column(dims, mats, vectors, sectors) for name, column in columns.items()}
+def evaluate(table, ctx: Context, names) -> dict:
+    """The rows ``names`` of a column table on the context of a (B, d, d)
+    stack, one array of B values per row; the rows share what the context
+    computes for them.  ValueError if a row does not apply to its dims."""
+    columns = {name: require_column(table, name, ctx.dims) for name in names}
+    return {name: column(ctx) for name, column in columns.items()}
 
 
-def _one(name: str, dims: tuple[int, ...], mat=None, sectors=None) -> float:
-    """The ``name`` column on one state: its (d, d) matrix or its correlation tensors."""
-    return float(require_column(COLUMNS, name, dims)(dims, mat, None, sectors))
+def _one(name: str, ctx: Context) -> float:
+    """The ``name`` row of COLUMNS on the context of one state."""
+    return float(require_column(COLUMNS, name, ctx.dims)(ctx))
 
 
-def _pure_marginals(what: str, dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
+def _pure_marginals(what: str, ctx: Context) -> np.ndarray:
     """Party-A marginals of pure bipartite states; MixedStateError names the first mixed one."""
-    purity = _purity(mats)
+    purity = _purity(ctx.mats)
     if not _pure(purity).all():
         raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity[~_pure(purity)][0]:.9f})")
-    return _partial_trace(dims, mats, [0])
+    return _partial_trace(ctx.dims, ctx.mats, [0])
 
 
 def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
@@ -133,13 +145,13 @@ def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
 
 
 # The measures as columns: name -> (what it needs, test on dims, column
-# function).  A column function maps a (B, d, d) stack, its coherence vectors
-# and its correlation tensors (see bloch.decompose_stack) to B values;
-# evaluate applies rows to a stack, and the scalar functions apply a row to
-# one state through _one, so each column is the only code for its quantity
-# and its test the only statement of where it is defined.  The sector norms
-# ec, ed and ee read the tensors; concurrence and entropy (_PURE_ONLY) read
-# the party-A marginals and raise MixedStateError on a mixed state.
+# function).  A column function maps the Context of a stack of B states to B
+# values; evaluate applies rows to a stack, and the scalar functions apply a
+# row to one state through _one, so each column is the only code for its
+# quantity and its test the only statement of where it is defined.  The
+# sector norms ec, ed and ee read the context's decomposition; concurrence
+# and entropy (_PURE_ONLY) read the party-A marginals of its matrices, never
+# decompose, and raise MixedStateError on a mixed state.
 COLUMNS = {
     "ec": ("two parties or three or more equal-dimension parties",
            lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
@@ -147,10 +159,10 @@ COLUMNS = {
     "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
            _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
     "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
-    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, lambda dims, mats, vectors, sectors:
-                    np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", dims, mats)))))),
-    "entropy": ("a bipartite state", lambda dims: len(dims) == 2, lambda dims, mats, vectors, sectors:
-                _entropy_bits(_pure_marginals("entanglement entropy", dims, mats))),
+    "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx:
+                    np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", ctx)))))),
+    "entropy": ("a bipartite state", lambda dims: len(dims) == 2,
+                lambda ctx: _entropy_bits(_pure_marginals("entanglement entropy", ctx))),
 }
 _PURE_ONLY = ("concurrence", "entropy")
 
@@ -161,10 +173,9 @@ _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """The measures of every row of COLUMNS whose rule holds for the state's
     party structure; concurrence and entropy only when the state is pure."""
-    names = [name for name, (_, applies, _) in COLUMNS.items() if applies(rho.dims)]
+    skip = () if is_pure(rho) else _PURE_ONLY
+    names = [name for name, (_, applies, _) in COLUMNS.items() if applies(rho.dims) and name not in skip]
     if not names:
         raise ValueError(f"no measures defined for party structure {rho.dims}")
-    if not is_pure(rho):
-        names = [name for name in names if name not in _PURE_ONLY]
-    values = evaluate(COLUMNS, rho.dims, rho.matrix[None], names)
+    values = evaluate(COLUMNS, Context(rho.dims, rho.matrix[None]), names)
     return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in values.items()})

@@ -16,7 +16,7 @@ from mpcorr.classify import (COLUMNS, PT_NEGATIVITY_TOL, Category, DegenerateBlo
                              ph_invariants, ph_test, ph_test_signflip)
 from mpcorr.density import PURITY_TOL, DensityMatrix, NotHermitianError, from_pure, mix, tensor
 from mpcorr.families import bell, cc_mixture, generalized_werner
-from mpcorr.measures import evaluate
+from mpcorr.measures import Context, evaluate
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -128,9 +128,17 @@ class TestPHSignFlip:
             assert a.entangled == b.entangled
             assert a.min_eigenvalue == pytest.approx(b.min_eigenvalue, abs=1e-10)
 
-    def test_non_qubit_rejected(self, rng):
-        with pytest.raises(ValueError, match="two qubits"):
-            ph_test_signflip(rand_state((2, 3), rng))
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (3, 4)], ids=str)
+    def test_agrees_with_spectral_test_on_bipartite_shapes(self, dims, rng):
+        for _ in range(50):
+            rho = rand_state(dims, rng)
+            a, b = ph_test(rho), ph_test_signflip(rho)
+            assert (a.entangled, a.conclusive) == (b.entangled, b.conclusive)
+            assert a.min_eigenvalue == pytest.approx(b.min_eigenvalue, abs=1e-12)
+
+    def test_non_bipartite_rejected(self, rng):
+        with pytest.raises(ValueError, match="bipartite"):
+            ph_test_signflip(rand_state((2, 2, 2), rng))
 
 
 class TestPHInvariants:
@@ -206,6 +214,18 @@ class TestPHExplicit:
     def test_negative_discriminant_rejected(self):
         with pytest.raises(ValueError, match="discriminant"):
             ph_condition_explicit(PHInvariants(xi=0.1, na_dot_nb=1.0, na_dot_c_nb=0.0))
+
+    def test_not_a_criterion_off_the_werner_family(self):
+        # two entangled mixtures of a Bell state and a product: the condition
+        # misses one and is undefined on the other
+        half = [0.5, 0.5]
+        missed = mix(half, [bell("psi+"), from_pure([0, 1, 0, 0], (2, 2))])
+        assert ph_test(missed).min_eigenvalue == pytest.approx(-0.25, abs=1e-12)
+        assert ph_condition_explicit(ph_invariants(decompose(missed))) is False
+        undefined = mix(half, [bell("phi+"), from_pure([1, 0, 0, 0], (2, 2))])
+        assert ph_test(undefined).entangled
+        with pytest.raises(ValueError, match="negative discriminant"):
+            ph_condition_explicit(ph_invariants(decompose(undefined)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("field", ["xi", "na_dot_nb", "na_dot_c_nb"])
@@ -329,7 +349,8 @@ def test_hypothesis_report_fields_are_row_values(seed):
     # the report is what a one-point sweep of its rows gives, bit for bit
     for rho in report_states(seed):
         rep = classify_two_qubit(rho)
-        row = {name: values[0] for name, values in evaluate(COLUMNS, (2, 2), rho.matrix[None], COLUMNS).items()}
+        values = evaluate(COLUMNS, Context((2, 2), rho.matrix[None]), COLUMNS)
+        row = {name: column[0] for name, column in values.items()}
         assert (rep.purity, rep.nsv_count, rep.min_pt_eigenvalue) == (row["purity"], row["nsv"], row["pt_min"])
         assert rep.ph_entangled == bool(row["ph"]) == (row["pt_min"] < -PT_NEGATIVITY_TOL)
         if np.isnan(row["xi"]):
@@ -352,11 +373,10 @@ def test_hypothesis_report_fields_are_row_values(seed):
 def test_hypothesis_invariant_rows_do_not_depend_on_the_stack(seed):
     # each state's xi, n_A . n_B and n_A . C . n_B in a stack are its values alone, bit for bit
     mats = np.stack([rho.matrix for rho in report_states(seed)])
-    names = ("xi", "nanb", "nacnb")
-    rows = evaluate(classify._REPORT, (2, 2), mats, names)
+    rows = classify._invariants(Context((2, 2), mats))
     for b in range(len(mats)):
-        alone = evaluate(classify._REPORT, (2, 2), mats[b:b + 1], names)
-        assert all(rows[name][b:b + 1].tobytes() == alone[name].tobytes() for name in names)
+        alone = classify._invariants(Context((2, 2), mats[b:b + 1]))
+        assert all(row[b:b + 1].tobytes() == one.tobytes() for row, one in zip(rows, alone))
 
 
 def test_report_states_cover_every_pure_category_and_degenerate_invariants():

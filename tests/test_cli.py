@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 
-from mpcorr import families
-from mpcorr.bloch import decompose, decompose_stack
+from mpcorr import bloch, classify, cli, families, measures
+from mpcorr.bloch import decompose
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
 from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, InputError, load_state, main
 from mpcorr.density import DensityMatrix, TraceNotOneError, mix, pure_states, purity
-from mpcorr.measures import concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy, evaluate
+from mpcorr.measures import (Context, concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy,
+                             evaluate)
 
 
 def run_cli(argv, capsys):
@@ -651,7 +652,7 @@ def test_real_family_sweeps_match_complex_stacks(family, monkeypatch, capsys):
         points = np.array(list(product(*(np.linspace(*spec) for spec in grid.values()))))
         groups = stacks(**dict(zip(grid, points.T)))
         assert all(mats.dtype == float for _, _, mats in groups)
-        pure = all((OUTPUTS["purity"][2](dims, mats, None, None) > 1 - 1e-8).all() for _, dims, mats in groups)
+        pure = all((OUTPUTS["purity"][2](Context(dims, mats)) > 1 - 1e-8).all() for _, dims, mats in groups)
         outputs = [name for name, (_, applies, _) in OUTPUTS.items()
                    if all(applies(dims) for _, dims, _ in groups) and (pure or name not in ("concurrence", "entropy"))]
         argv = ["sweep", "--family", family, "--outputs", ",".join(outputs)]
@@ -676,9 +677,47 @@ def test_output_columns_read_real_stacks_as_complex_copies(dims, rng):
     for pure, mats in stacks.items():
         names = [name for name, (_, applies, _) in OUTPUTS.items()
                  if applies(dims) and (pure or name not in ("concurrence", "entropy"))]
-        real, complex_ = evaluate(OUTPUTS, dims, mats, names), evaluate(OUTPUTS, dims, mats.astype(complex), names)
+        real = evaluate(OUTPUTS, Context(dims, mats), names)
+        complex_ = evaluate(OUTPUTS, Context(dims, mats.astype(complex)), names)
         for name in names:
             assert np.asarray(real[name]).tobytes() == np.asarray(complex_[name]).tobytes(), name
+
+
+def test_ph_and_pt_min_share_one_eigensolve_per_stack(monkeypatch, capsys):
+    stacks, pt_min = [], classify._pt_min
+
+    def counted(dims, mats):
+        stacks.append(len(mats))
+        return pt_min(dims, mats)
+
+    monkeypatch.setattr(classify, "_pt_min", counted)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 50)
+    argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:11", "--param", "theta=-2:2:11"]
+    assert run_cli(argv + ["--outputs", "ph,pt_min"], capsys)[0] == 0
+    assert stacks == [50, 50, 21]
+
+
+@pytest.mark.parametrize("family, grids, outputs", [
+    ("generalized-werner", ["p=0:1:11", "theta=-2:2:11"], "purity"),
+    ("rashid", ["theta=-3:3:21"], "concurrence,entropy,ph,pt_min"),
+])
+def test_rows_of_matrices_never_decompose(family, grids, outputs, monkeypatch, capsys):
+    """Rows that read only the matrices give, without a decomposition, the
+    bytes of their columns in a sweep that also asks for ec and nsv."""
+    argv = ["sweep", "--family", family, *(arg for spec in grids for arg in ("--param", spec)), "--outputs"]
+    code, full, _ = run_cli(argv + ["ec,nsv," + outputs], capsys)
+    assert code == 0
+
+    def refuse(dims, mats):
+        raise AssertionError("decompose_stack called")
+
+    for module in (bloch, measures, classify):
+        monkeypatch.setattr(module, "decompose_stack", refuse, raising=False)
+    code, out, err = run_cli(argv + [outputs], capsys)
+    assert (code, err) == (0, "")
+    n = len(grids)
+    assert out.splitlines() == [",".join(cells[:n] + cells[n + 2:]) for cells in
+                                (line.split(",") for line in full.splitlines())]
 
 
 def xi_or_nan(rho, dec) -> float:
@@ -757,11 +796,11 @@ def test_output_columns_match_scalar_api_on_random_states(dims, rng):
     classical = DensityMatrix(dims, np.diag([0.5] + [0.0] * (d - 2) + [0.5]))
     rhos += [mix([1 - 1e-11, 1e-11], [classical, rho]) for rho in rhos[2:]]
     mats = np.stack([rho.matrix for rho in rhos])
-    vectors, sectors = decompose_stack(dims, mats)
+    ctx = Context(dims, mats)
     for name, (_, applies, column) in OUTPUTS.items():
         if not applies(dims) or name in ("concurrence", "entropy"):
             continue
-        got = np.asarray(column(dims, mats, vectors, sectors)).tolist()
+        got = np.asarray(column(ctx)).tolist()
         want = [SCALAR_OUTPUTS[name](rho, decompose(rho)) for rho in rhos]
         if name in ("ph", "nsv"):
             assert got == want, name

@@ -18,10 +18,9 @@ from helpers import (kron_all, oracle_basis, oracle_cumulant, oracle_pair_c, ora
                      oracle_ptranspose, oracle_vectors, random_density_mat)
 
 from mpcorr import classify, measures
-from mpcorr.bloch import decompose_stack
 from mpcorr.classify import BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL, ph_test
 from mpcorr.density import DensityMatrix
-from mpcorr.measures import MixedStateError
+from mpcorr.measures import Context, MixedStateError
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
 
@@ -67,20 +66,20 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
     noisy = random_density_mat(d, rng, rank=min(rank, d))
     classical = 0.3 * product_state(dims, rng, 1) + 0.7 * product_state(dims, rng, 1)
     mats = np.stack([noisy, product_state(dims, rng, rank), classical, (1 - 1e-11) * classical + 1e-11 * noisy])
-    vectors, sectors = decompose_stack(dims, mats)
+    ctx = Context(dims, mats)
     columns = {name: column for name, (_, applies, column) in {**measures.COLUMNS, **classify.COLUMNS}.items()
                if applies(dims)}
     if len(dims) == 2:      # the stack holds mixed states, which the pure-state rows refuse
         for name in ("concurrence", "entropy"):
             with pytest.raises(MixedStateError, match="defined for pure states only"):
-                columns.pop(name)(dims, mats, vectors, sectors)
+                columns.pop(name)(ctx)
     for b, mat in enumerate(mats):
         want = oracle_columns(mat, dims)
         assert set(columns) == set(want)
         if "pt_min" in want:
             assert ph_test(DensityMatrix(dims, mat)).min_eigenvalue == pytest.approx(want["pt_min"], abs=1e-12)
         for name, column in columns.items():
-            got = np.asarray(column(dims, mats, vectors, sectors))[b]
+            got = np.asarray(column(ctx))[b]
             if name in ("ph", "nsv"):
                 assert got == want[name], (name, b)
             else:
@@ -93,9 +92,9 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
 def test_pure_state_columns_match_oracle(dims, seed):
     rng = np.random.default_rng(seed)
     mats = np.stack([random_density_mat(math.prod(dims), rng, rank=1), product_state(dims, rng, 1)])
-    vectors, sectors = decompose_stack(dims, mats)
-    concurrence = np.asarray(measures.COLUMNS["concurrence"][2](dims, mats, vectors, sectors))
-    entropy = np.asarray(measures.COLUMNS["entropy"][2](dims, mats, vectors, sectors))
+    ctx = Context(dims, mats)
+    concurrence = np.asarray(measures.COLUMNS["concurrence"][2](ctx))
+    entropy = np.asarray(measures.COLUMNS["entropy"][2](ctx))
     for b, mat in enumerate(mats):
         marginal = oracle_ptrace(mat, dims, [0])
         # C^2 / 2 = 1 - Tr rho_A^2; C itself is the square root of roundoff on a product

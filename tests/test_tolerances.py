@@ -18,7 +18,7 @@ from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two
 from mpcorr.density import DensityMatrix, NotHermitianError, NotPSDError, TraceNotOneError, validate
 from mpcorr.exchange import NullProjectionError, project_exchange
 from mpcorr.families import generalized_werner
-from mpcorr.measures import measure_set
+from mpcorr.measures import Context, measure_set
 
 HERMITICITY_TOL = TRACE_TOL = 1e-12     # density
 PSD_TOL = 1e-10
@@ -46,9 +46,7 @@ def two_qubit(*terms) -> DensityMatrix:
 
 def column(name: str, rho: DensityMatrix):
     """The value of one classification column on the one-state stack of rho."""
-    mats = rho.matrix[None]
-    vectors, sectors = decompose_stack(rho.dims, mats)
-    return classify.COLUMNS[name][2](rho.dims, mats, vectors, sectors).tolist()[0]
+    return classify.COLUMNS[name][2](Context(rho.dims, rho.matrix[None])).tolist()[0]
 
 
 def expect(crossed: bool, error, call):
