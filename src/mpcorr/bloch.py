@@ -27,11 +27,14 @@ The map is real both ways, for real and complex stacks.  The identity,
 symmetric and diagonal generators are real and the antisymmetric ones i
 times real, so T = Re(i^k (x + i y)), with x and y the real mode products
 of Re rho and Im rho and k the number of antisymmetric generators of the
-entry; Im(i^k (x + i y)), zero for a Hermitian rho, is held to IMAG_TOL.
-A real stack, as every sweepable family builds, has y = 0, never computed:
-T = Re(i^k) x is x, 0 or -x as k mod 4 is 0, odd or 2, and x is the
-imaginary part on the entries of odd k.  A complex stack's T gets + 0.0,
-so an analytic zero is +0.0 whatever sign the matrix products leave.
+entry.  Re Tr(rho A) = Tr(((rho + rho^dag) / 2) A), so T is the moment
+tensor of the Hermitian part of rho; Im(i^k (x + i y)) is never formed.
+Every state given to the map is Hermitian already: a DensityMatrix within
+HERMITICITY_TOL from construction, a family stack by construction.  A real
+stack, as every sweepable family builds, has y = 0, never computed:
+T = Re(i^k) x is x, 0 or -x as k mod 4 is 0, odd or 2.  A complex stack's
+T gets + 0.0, so an analytic zero is +0.0 whatever sign the matrix products
+leave.
 
 :func:`reconstruct` inverts the map.  It refills T from the vectors and
 tensors, sector by sector, and expands rho = (1 / prod n_I) sum_m T[m] w_m
@@ -54,17 +57,6 @@ import numpy as np
 
 from .density import DensityMatrix, _require_finite
 from .su_basis import gell_mann_basis
-
-IMAG_TOL = 1e-12
-
-
-def _require_real(residue: np.ndarray) -> None:
-    """Refuse an imaginary part of T, zero analytically, unless it is within
-    IMAG_TOL; a large residue means a bug upstream, not data to keep."""
-    resid = float(np.abs(residue).max()) if residue.size else 0.0
-    if resid > IMAG_TOL:
-        raise ValueError(f"moment tensor has imaginary residue {resid:.3e} (tolerance {IMAG_TOL:.1e})")
-
 
 @dataclass(frozen=True)
 class BlochDecomposition:
@@ -119,14 +111,14 @@ def _augmented(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _parity(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _parity(dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Re(i^k) and Im(i^k) on each entry of T, for k the number of its
-    antisymmetric generators, and the flat indices of the entries with k odd."""
+    antisymmetric generators."""
     k = reduce(np.add.outer, [_augmented(d)[2] for d in dims]) % 4
     re, im = np.array([1.0, 0.0, -1.0, 0.0])[k], np.array([0.0, 1.0, 0.0, -1.0])[k]
     for w in (re, im):
         w.setflags(write=False)
-    return re, im, np.flatnonzero(k % 2)
+    return re, im
 
 
 def _interleave(n: int) -> tuple[int, ...]:
@@ -153,16 +145,14 @@ def _contract(dims: tuple[int, ...], mats: np.ndarray, forward: list[np.ndarray]
 def _moments(dims: tuple[int, ...], mats: np.ndarray) -> np.ndarray:
     """The real, read-only moment tensors T[b, m_1, ..., m_N] of a (B, d, d)
     stack: T = Re(i^k (x + i y)) for x and y the forward products of Re rho
-    and Im rho, with Im(i^k (x + i y)) held to IMAG_TOL."""
+    and Im rho, the moments of the Hermitian part (rho + rho^dag) / 2."""
     forward = [_augmented(d)[0] for d in dims]
-    re, im, odd = _parity(dims)
+    re, im = _parity(dims)
     if np.iscomplexobj(mats):
         x, y = (_contract(dims, part, forward) for part in (mats.real, mats.imag))
-        _require_real(im * x + re * y)
         t = re * x - im * y + 0.0           # + 0.0: an analytic zero is +0.0 whatever the GEMM leaves
     else:
         t = _contract(dims, mats, forward)
-        _require_real(t.reshape(-1, re.size)[:, odd])
         t *= re
     t.setflags(write=False)
     return t
@@ -179,7 +169,7 @@ def _from_moments(dims: tuple[int, ...], t: np.ndarray) -> np.ndarray:
         out = _mode_products(np.moveaxis(weight * t, 0, -1), inverse)
         return out.reshape((len(t),) + tuple(d for d in dims for _ in range(2))).transpose(back).reshape(-1, size, size)
 
-    re, im, _ = _parity(dims)
+    re, im = _parity(dims)
     return chain(re) + 1j * chain(im)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, _augmented, _from_moments, _moments, decompose_stack
-from .density import DensityMatrix, HermitianOperator, _partial_transpose, _pure, _purity, _require_finite
-from .measures import Context, evaluate, require_column
+from .bloch import BlochDecomposition, _augmented, _from_moments, _moments
+from .density import DensityMatrix, _partial_transpose, _pure, _purity, _require_finite
+from .measures import Context, _tensors, evaluate, require_column
 
 NSV_ABS_FLOOR = 1e-12
 NSV_REL_FACTOR = 1e-9
@@ -89,18 +89,18 @@ def _spectrum(c: np.ndarray):
     return sv, threshold, (sv > threshold[..., None]).sum(axis=-1)
 
 
-def _pt_min(dims: tuple[int, int], mats: np.ndarray) -> np.ndarray:
-    """Least eigenvalue of the partial transpose on the second party of one
-    (d, d) bipartite state or of a (B, d, d) stack, from the complex
-    eigensolver also for a real one, so both give the same bits."""
-    return np.linalg.eigvalsh(_partial_transpose(dims, mats, 1).astype(complex, copy=False)).min(axis=-1)
+def _pt_min(ctx: Context) -> np.ndarray:
+    """Least eigenvalue of the partial transpose on the second party of each
+    bipartite state of a context, from the complex eigensolver also for a
+    real stack, so both give the same bits."""
+    return np.linalg.eigvalsh(_partial_transpose(ctx.dims, ctx.mats, 1).astype(complex, copy=False)).min(axis=-1)
 
 
 def _invariants(ctx: Context):
     """xi, n_A . n_B and n_A . C . n_B of the two-qubit states of a context,
     from its vectors and C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
     run in a fixed order, so a state gives the same bits alone as in a stack."""
-    (na, nb), sectors = ctx(decompose_stack)
+    (na, nb), sectors = ctx(_tensors)
     na_nb = (na * nb).sum(axis=-1)
     na_c_nb = ((na[..., :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -130,7 +130,6 @@ def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
     column = require_column(COLUMNS, "pt_min", rho.dims)
-    HermitianOperator(rho.dims, rho.matrix)     # NotHermitianError for a hand-built non-Hermitian matrix
     return _verdict(rho.dims, float(column(Context(rho.dims, rho.matrix))))
 
 
@@ -179,7 +178,7 @@ def ph_condition_explicit(inv: PHInvariants) -> bool:
 
 def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     """Category of a two-qubit state from the values of its rows: purity,
-    NSV count and least PT eigenvalue.
+    NSV count, PH verdict and least PT eigenvalue.
 
     Decision table: pure states are products (NSV 0) or entangled (any
     correlation at all; NSV 3 in exact arithmetic).  Mixed states with no
@@ -190,8 +189,9 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
     ctx = Context(rho.dims, rho.matrix[None])
-    purity, nsv, pt_min = (float(values[0]) for values in evaluate(COLUMNS, ctx, ("purity", "nsv", "pt_min")).values())
-    nsv, entangled = int(nsv), pt_min < -PT_NEGATIVITY_TOL
+    names = ("purity", "nsv", "ph", "pt_min")
+    purity, nsv, ph, pt_min = (values[0].item() for values in evaluate(COLUMNS, ctx, names).values())
+    entangled = bool(ph)
     if _pure(purity):
         category = Category.PURE_PRODUCT if nsv == 0 else Category.PURE_ENTANGLED
     elif nsv == 0:
@@ -200,7 +200,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
         category = Category.MIXED_ENTANGLED
     else:
         category = Category.CLASSICALLY_CORRELATED
-    inv = PHInvariants(*(float(values[0]) for values in _invariants(ctx)))
+    inv = PHInvariants(*(float(values[0]) for values in ctx(_invariants)))
     return ClassificationReport(category=category, nsv_count=nsv, ph_entangled=entangled, min_pt_eigenvalue=pt_min,
                                 invariants=None if np.isnan(inv.xi) else inv, purity=purity)
 
@@ -208,15 +208,16 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
 # The classification quantities as columns, in the form of measures.COLUMNS:
 # the NSV count, the PH verdict (0/1), the two-qubit invariants, xi being NaN
 # where n_A . n_B degenerates, the purity and the least PT eigenvalue.  nsv
-# and the invariants read the context's decomposition, ph and pt_min its one
-# PT eigensolve, and purity its matrices.
+# and the invariants read the context's decomposition, xi and nanb its one
+# invariants pass, ph and pt_min its one PT eigensolve, and purity its
+# matrices.
 COLUMNS = {
     "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
-            lambda ctx: _spectrum(ctx(decompose_stack)[1][(0, 1)])[2]),
+            lambda ctx: _spectrum(ctx(_tensors)[1][(0, 1)])[2]),
     "ph": ("a bipartite state", lambda dims: len(dims) == 2,
            lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int)),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: _invariants(ctx)[0]),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: _invariants(ctx)[1]),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[0]),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[1]),
     "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats)),
     "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min)),
 }

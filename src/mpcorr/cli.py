@@ -182,8 +182,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
 
 
 def cmd_sweep(args) -> None:
-    if args.family in FAMILY_BUILDERS:          # name an unsweepable family before reading its grids
-        family_row(args.family, sweep=True)
+    family_row(args.family, sweep=True)         # name an unknown or unsweepable family before reading its grids
     grids = [_parse_grid(spec) for spec in args.param or []]
     if not grids:
         raise ValueError("sweep needs at least one --param grid")
@@ -235,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify, failure_code=EXIT_UNSUPPORTED_SHAPE)
 
     p = sub.add_parser("family", help="instantiate a named state family")
-    p.add_argument("--family", required=True, choices=sorted(FAMILY_BUILDERS))
+    p.add_argument("--family", required=True, help=f"one of {', '.join(sorted(FAMILY_BUILDERS))}")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="family parameter (repeatable); values parsed as JSON when possible")
     p.add_argument("--output", default="-")

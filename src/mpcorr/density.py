@@ -65,48 +65,46 @@ def _check_shape(dims: tuple[int, ...], matrix: np.ndarray) -> None:
 
 
 @dataclass(frozen=True)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix over a tensor
-    product of subsystems.
+class HermitianOperator:
+    """Hermitian matrix over a tensor product of subsystems, without the
+    trace/positivity requirements (partial transposes, symmetrizers, ...).
 
     ``dims`` lists the subsystem dimensions in tensor-product order and
-    ``matrix`` is the full prod(dims) x prod(dims) complex matrix.  The
-    constructors in this module guarantee the invariants; arbitrary matrices
-    should go through :func:`validate`.  A NaN or infinite entry raises
-    ValueError here already.
+    ``matrix`` is the full prod(dims) x prod(dims) complex matrix.  This is
+    the one place Hermiticity is checked: construction raises ValueError for
+    a NaN or infinite entry, NotHermitianError when max |M - M^dag| exceeds
+    HERMITICITY_TOL, and FloatingPointError when that residual overflows.
     """
 
     dims: tuple[int, ...]
     matrix: np.ndarray
+    _noun = "operator"              # not a field: the word the messages use
 
     def __post_init__(self):
         object.__setattr__(self, "dims", _dims(self.dims))
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         _check_shape(self.dims, self.matrix)
-        _require_finite(self.matrix, "matrix")
+        _require_finite(self.matrix, self._noun)
+        with np.errstate(over="raise"):
+            herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
+        if herm > HERMITICITY_TOL:
+            raise NotHermitianError(f"{self._noun} is not Hermitian (max |M - M^dag| = {herm:.3e})", herm)
+
+
+@dataclass(frozen=True)
+class DensityMatrix(HermitianOperator):
+    """A HermitianOperator that is also unit-trace and positive
+    semidefinite, so Hermitian within HERMITICITY_TOL from construction.
+
+    The constructors in this module guarantee trace and positivity;
+    arbitrary matrices should go through :func:`validate`, which checks them.
+    """
+
+    _noun = "matrix"
 
     @property
     def num_parties(self) -> int:
         return len(self.dims)
-
-
-@dataclass(frozen=True)
-class HermitianOperator:
-    """Hermitian matrix over the same tensor structure as a DensityMatrix,
-    without the trace/positivity requirements (partial transposes,
-    symmetrizers, ...).  A NaN or infinite entry raises ValueError."""
-
-    dims: tuple[int, ...]
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", _dims(self.dims))
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        _check_shape(self.dims, self.matrix)
-        _require_finite(self.matrix, "operator")
-        herm = float(np.abs(self.matrix - self.matrix.conj().T).max())
-        if herm > HERMITICITY_TOL:
-            raise NotHermitianError(f"operator is not Hermitian (residual {herm:.3e})", herm)
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -158,19 +156,17 @@ def from_pure(amplitudes, dims) -> DensityMatrix:
 def validate(matrix, dims) -> DensityMatrix:
     """Check the three density-matrix invariants and return a DensityMatrix.
 
-    Raises NotHermitianError, TraceNotOneError, or NotPSDError, each carrying
-    the offending residual magnitude, a plain ValueError for a NaN or
-    infinite entry, which every comparison with a tolerance would let pass,
-    and FloatingPointError for entries so large (near 1e308) that a residual
-    or an eigenvalue overflows.
+    Hermiticity is checked by the DensityMatrix constructor; trace and
+    positivity here.  Raises NotHermitianError, TraceNotOneError, or
+    NotPSDError, each carrying the offending residual magnitude, a plain
+    ValueError for a NaN or infinite entry, which every comparison with a
+    tolerance would let pass, and FloatingPointError for entries so large
+    (near 1e308) that a residual or an eigenvalue overflows.
     """
     rho = DensityMatrix(dims, matrix)
     mat = rho.matrix
     with np.errstate(over="raise"):
-        herm = float(np.abs(mat - mat.conj().T).max())
         tr = complex(np.trace(mat))
-    if herm > HERMITICITY_TOL:
-        raise NotHermitianError(f"matrix is not Hermitian (max |rho - rho^dag| = {herm:.3e})", herm)
     tr_res = abs(tr - 1.0)
     if tr_res > TRACE_TOL:
         raise TraceNotOneError(f"trace is {tr:.12g}, not 1 (residual {tr_res:.3e})", tr_res)

@@ -87,15 +87,21 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 
 class Context:
     """A (B, d, d) stack or one (d, d) state as the rows read it: ``dims``,
-    ``mats`` and ``ctx(f)``, the value f(dims, mats) of a shared quantity
-    such as decompose_stack, computed on its first read and kept with the
-    context.  ``tensors`` is decompose_stack's value where no mats are given."""
+    ``mats`` and ``ctx(f)``, the value f(ctx) of a shared quantity such as
+    :func:`_tensors`, computed on its first read and kept with the context,
+    so a quantity may read another.  ``tensors`` is the value of
+    :func:`_tensors` where no mats are given."""
 
     def __init__(self, dims: tuple[int, ...], mats: np.ndarray | None = None, tensors=None):
-        self.dims, self.mats, self._memo = dims, mats, {} if tensors is None else {decompose_stack: tensors}
+        self.dims, self.mats, self._memo = dims, mats, {} if tensors is None else {_tensors: tensors}
 
     def __call__(self, f):
-        return self._memo[f] if f in self._memo else self._memo.setdefault(f, f(self.dims, self.mats))
+        return self._memo[f] if f in self._memo else self._memo.setdefault(f, f(self))
+
+
+def _tensors(ctx: Context):
+    """The coherence vectors and correlation tensors of a context's stack."""
+    return decompose_stack(ctx.dims, ctx.mats)
 
 
 def _sector_norm(parties: int, weight):
@@ -104,7 +110,7 @@ def _sector_norm(parties: int, weight):
     tensor is summed over its last ``parties`` axes, so a context may hold
     one state's tensors or (B, ...) stacks."""
     return lambda ctx: weight(ctx.dims) * sum(np.square(c).sum(axis=tuple(range(-parties, 0)))
-                                              for s, c in ctx(decompose_stack)[1].items() if len(s) == parties)
+                                              for s, c in ctx(_tensors)[1].items() if len(s) == parties)
 
 
 def require_column(table, name: str, dims: tuple[int, ...]):

@@ -14,7 +14,7 @@ from helpers import (GELL_MANN, PAULI, dm_of, kron_all, oracle_basis,
 
 from mpcorr.bloch import (BlochDecomposition, coherence_vector, decompose,
                           decompose_stack, reconstruct)
-from mpcorr.density import DensityMatrix, from_pure, partial_trace, pure_states, tensor
+from mpcorr.density import DensityMatrix, NotHermitianError, from_pure, partial_trace, pure_states, tensor
 from mpcorr.families import (generalized_werner_states, ghz, rashid_states,
                              tripartite_qutrit_e3_states)
 from mpcorr.su_basis import gell_mann_basis
@@ -292,11 +292,13 @@ def test_reconstruct_hand_built_matches_oracle(dims, with_triples, with_quad, rn
     assert np.abs(got - got.conj().T).max() < 1e-12
 
 
-def test_non_hermitian_input_reports_imaginary_residue():
+def test_non_hermitian_matrix_refused_at_construction():
+    # so no state reaches decompose, measure_set, classify_two_qubit or the PH tests
     mat = np.eye(4, dtype=complex) / 4
     mat[0, 1] = 1e-6
-    with pytest.raises(ValueError, match="imaginary residue"):
-        decompose(DensityMatrix((2, 2), mat))
+    with pytest.raises(NotHermitianError, match="matrix is not Hermitian") as err:
+        DensityMatrix((2, 2), mat)
+    assert err.value.residual == 1e-6
 
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 2, 3), (2, 2, 2, 3), (3, 3, 3, 3)]

@@ -45,6 +45,12 @@ def nan_matrix_file(tmp_path):
     return write_json(tmp_path / "nan.json", {"dims": [2, 2], "matrix": mat})
 
 
+def hermiticity_file(tmp_path, residual):
+    """(1 + i (2 residual) X x 1) / 4 as a matrix state file: max |M - M^dag| is residual."""
+    mat = [[[0.25 if i == j else 0.0, residual / 2 if i ^ j == 2 else 0.0] for j in range(4)] for i in range(4)]
+    return write_json(tmp_path / f"herm-{residual}.json", {"dims": [2, 2], "matrix": mat})
+
+
 def singlet_file(tmp_path):
     return write_json(tmp_path / "psi-.json", {
         "dims": [2, 2],
@@ -85,6 +91,18 @@ class TestDecompose:
         payload = json.loads(err)
         assert payload["error"] == "NotPSD"
         assert payload["residual"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["decompose", "measure", "classify"])
+    def test_hermiticity_tolerance_is_the_one_rule(self, command, tmp_path, capsys):
+        # residual 0.75e-12 passes validation, so the command gives a result
+        # (and, where it reads only T, the one of the Hermitian part 1/4)
+        code, out, err = run_cli([command, "--input", hermiticity_file(tmp_path, 0.75e-12)], capsys)
+        assert (code, err) == (0, "")
+        if command != "classify":
+            assert out == run_cli([command, "--input", hermiticity_file(tmp_path, 0.0)], capsys)[1]
+        code, out, err = run_cli([command, "--input", hermiticity_file(tmp_path, 1.1e-12)], capsys)
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "NotHermitian", "residual": 1.1e-12}
 
     def test_single_party_exit_3(self, tmp_path, capsys):
         path = write_json(tmp_path / "one.json", {
@@ -348,9 +366,12 @@ class TestSweep:
         assert thetas == [0.5, 1.0, 1.5, 0.5, 1.0, 1.5]
 
     def test_unknown_family_exit_4(self, capsys):
-        code, _, _ = run_cli(["sweep", "--family", "nope", "--param", "x=0:1:2",
-                              "--outputs", "ec"], capsys)
-        assert code == 4
+        # one rule, families.family_row, for sweep and family alike
+        for argv in (["sweep", "--family", "nope", "--param", "x=0:1:2", "--outputs", "ec"],
+                     ["family", "--family", "nope"]):
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out) == (4, "")
+            assert err == f"error: unknown family 'nope'; known: {sorted(FAMILY_BUILDERS)}\n"
 
     def test_unknown_param_exit_4(self, capsys):
         code, _, _ = run_cli(["sweep", "--family", "rashid", "--param", "beta=0:1:2",
@@ -686,14 +707,28 @@ def test_output_columns_read_real_stacks_as_complex_copies(dims, rng):
 def test_ph_and_pt_min_share_one_eigensolve_per_stack(monkeypatch, capsys):
     stacks, pt_min = [], classify._pt_min
 
-    def counted(dims, mats):
-        stacks.append(len(mats))
-        return pt_min(dims, mats)
+    def counted(ctx):
+        stacks.append(len(ctx.mats))
+        return pt_min(ctx)
 
     monkeypatch.setattr(classify, "_pt_min", counted)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 50)
     argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:11", "--param", "theta=-2:2:11"]
     assert run_cli(argv + ["--outputs", "ph,pt_min"], capsys)[0] == 0
+    assert stacks == [50, 50, 21]
+
+
+def test_xi_and_nanb_share_one_invariants_pass_per_stack(monkeypatch, capsys):
+    stacks, invariants = [], classify._invariants
+
+    def counted(ctx):
+        stacks.append(len(ctx.mats))
+        return invariants(ctx)
+
+    monkeypatch.setattr(classify, "_invariants", counted)
+    monkeypatch.setattr(cli, "SWEEP_CHUNK", 50)
+    argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:11", "--param", "theta=-2:2:11"]
+    assert run_cli(argv + ["--outputs", "xi,nanb"], capsys)[0] == 0
     assert stacks == [50, 50, 21]
 
 

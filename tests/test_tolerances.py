@@ -14,8 +14,8 @@ import pytest
 from mpcorr import classify
 from mpcorr.bloch import decompose, decompose_stack
 from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
-                             ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
-from mpcorr.density import DensityMatrix, NotHermitianError, NotPSDError, TraceNotOneError, validate
+                             ph_condition_explicit, ph_invariants, ph_test)
+from mpcorr.density import DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError, TraceNotOneError, validate
 from mpcorr.exchange import NullProjectionError, project_exchange
 from mpcorr.families import generalized_werner
 from mpcorr.measures import Context, measure_set
@@ -27,7 +27,6 @@ NSV_ABS_FLOOR = 1e-12                   # classify
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 BLOCH_DEGENERACY_TOL = 1e-12
-IMAG_TOL = 1e-12                        # bloch
 NULL_PROJECTION_TOL = 1e-12             # exchange
 
 # (multiple of the tolerance, whether that crosses the bound)
@@ -137,26 +136,37 @@ def test_purity(factor, crossed):
 
 
 @SIDES
-def test_imaginary_residue(factor, crossed):
-    # 1/4 + i (delta / 4) X x 1 is not Hermitian; its moment <X x 1> is i delta,
-    # which the sign-flip PH test reads too
-    delta = factor * IMAG_TOL
-    rho = DensityMatrix((2, 2), np.eye(4) / 4 + 1j * delta / 4 * np.kron(X, I2))
-    for call in (decompose, ph_test_signflip):
-        result = expect(crossed, ValueError, lambda: call(rho))
-        if crossed:
-            assert "moment tensor has imaginary residue" in str(result)
-
-
-@SIDES
-def test_imaginary_residue_of_real_stack(factor, crossed):
-    # 1/4 + (delta / 4) iY x 1 is real and not symmetric; its moment <Y x 1> is i delta
-    delta = factor * IMAG_TOL
-    i_y = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    mats = (np.eye(4) / 4 + delta / 4 * np.kron(i_y, I2))[None]
-    result = expect(crossed, ValueError, lambda: decompose_stack((2, 2), mats))
+@pytest.mark.parametrize("cls", [DensityMatrix, HermitianOperator])
+def test_hermiticity_at_construction(cls, factor, crossed):
+    # 1/4 + i (delta / 4) X x 1 has max |M - M^dag| = delta / 2, exactly
+    delta = 2 * factor * HERMITICITY_TOL
+    mat = np.eye(4) / 4 + 1j * delta / 4 * np.kron(X, I2)
+    result = expect(crossed, NotHermitianError, lambda: cls((2, 2), mat))
     if crossed:
-        assert "moment tensor has imaginary residue" in str(result)
+        assert result.residual == factor * HERMITICITY_TOL
+        assert "not Hermitian" in str(result)
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (2, 2, 2)], ids=str)
+def test_decompose_maps_the_hermitian_part(dims, rng):
+    # a state plus an anti-Hermitian error just inside HERMITICITY_TOL
+    # decomposes as its Hermitian part (rho + rho^dag) / 2
+    d = math.prod(dims)
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    err = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    err -= err.conj().T
+    rho = DensityMatrix(dims, g @ g.conj().T / np.trace(g @ g.conj().T).real
+                        + err * (0.9 * HERMITICITY_TOL / np.abs(err - err.conj().T).max()))
+    assert 0.5 * HERMITICITY_TOL < np.abs(rho.matrix - rho.matrix.conj().T).max() < HERMITICITY_TOL
+    got, want = decompose(rho), decompose(DensityMatrix(dims, (rho.matrix + rho.matrix.conj().T) / 2))
+    for a, b in zip((*got.coherence_vectors, *got.correlations.values()),
+                    (*want.coherence_vectors, *want.correlations.values())):
+        assert np.abs(a - b).max() <= 1e-15
+    # a real stack with an antisymmetric error: its symmetric part
+    real = rho.matrix.real[None]
+    got, want = decompose_stack(dims, real), decompose_stack(dims, (real + real.transpose(0, 2, 1)) / 2)
+    for a, b in zip((*got[0], *got[1].values()), (*want[0], *want[1].values())):
+        assert np.abs(a - b).max() <= 1e-15
 
 
 @SIDES
