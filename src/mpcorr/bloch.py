@@ -55,7 +55,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import DensityMatrix, _require_finite
+from .density import DensityMatrix, _hermitian_part, _require_finite
 from .su_basis import gell_mann_basis
 
 @dataclass(frozen=True)
@@ -245,4 +245,4 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
         if corr.shape != want:
             raise ValueError(f"correlation tensor {parties} has shape {corr.shape}, expected {want}")
         t[_sector(n, parties)] += corr
-    return DensityMatrix(dims, _from_moments(dims, t[None])[0])
+    return DensityMatrix(dims, _hermitian_part(_from_moments(dims, t[None])[0]))

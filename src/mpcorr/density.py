@@ -98,6 +98,8 @@ class DensityMatrix(HermitianOperator):
 
     The constructors in this module guarantee trace and positivity;
     arbitrary matrices should go through :func:`validate`, which checks them.
+    A state derived from states (partial_trace, tensor, mix, reconstruct,
+    project_exchange) is built from its Hermitian part, never refused for roundoff.
     """
 
     _noun = "matrix"
@@ -105,6 +107,11 @@ class DensityMatrix(HermitianOperator):
     @property
     def num_parties(self) -> int:
         return len(self.dims)
+
+
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2, Hermitian to the last bit: entry (j, i) is the exact conjugate of entry (i, j)."""
+    return (mat + mat.conj().T) / 2
 
 
 def _require_finite(arr: np.ndarray, what: str) -> None:
@@ -180,7 +187,7 @@ def validate(matrix, dims) -> DensityMatrix:
 
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; dims concatenate."""
-    return DensityMatrix(a.dims + b.dims, np.kron(a.matrix, b.matrix))
+    return DensityMatrix(a.dims + b.dims, _hermitian_part(np.kron(a.matrix, b.matrix)))
 
 
 def mix(weights, states) -> DensityMatrix:
@@ -200,7 +207,7 @@ def mix(weights, states) -> DensityMatrix:
         if s.dims != dims:
             raise ValueError(f"mixture requires equal dims, got {dims} and {s.dims}")
     acc = sum(w * s.matrix for w, s in zip(ws, states))
-    return DensityMatrix(dims, acc)
+    return DensityMatrix(dims, _hermitian_part(acc))
 
 
 def _partial_trace(dims: tuple[int, ...], mats: np.ndarray, kept: list[int]) -> np.ndarray:
@@ -236,7 +243,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep indices {kept} out of range for {n} parties")
     if len(kept) == n:
         return rho
-    return DensityMatrix(tuple(rho.dims[i] for i in kept), _partial_trace(rho.dims, rho.matrix, kept))
+    return DensityMatrix(tuple(rho.dims[i] for i in kept), _hermitian_part(_partial_trace(rho.dims, rho.matrix, kept)))
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:

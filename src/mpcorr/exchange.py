@@ -12,7 +12,7 @@ from typing import Literal
 
 import numpy as np
 
-from .density import DensityMatrix, HermitianOperator, _dims
+from .density import DensityMatrix, HermitianOperator, _dims, _hermitian_part
 
 NULL_PROJECTION_TOL = 1e-12
 
@@ -59,5 +59,5 @@ def project_exchange(rho: DensityMatrix, kind: ExchangeKind) -> ExchangeProjecti
     weight = float(np.trace(raw).real)
     if weight <= NULL_PROJECTION_TOL:
         raise NullProjectionError(f"state has weight {weight:.3e} in the {kind} sector")
-    return ExchangeProjection(kind=kind, projected=DensityMatrix(rho.dims, raw / weight),
+    return ExchangeProjection(kind=kind, projected=DensityMatrix(rho.dims, _hermitian_part(raw) / weight),
                               weight=weight)

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from mpcorr import classify
-from mpcorr.bloch import decompose, decompose_stack
+from mpcorr.bloch import BlochDecomposition, decompose, decompose_stack, reconstruct
 from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
-                             ph_condition_explicit, ph_invariants, ph_test)
-from mpcorr.density import DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError, TraceNotOneError, validate
-from mpcorr.exchange import NullProjectionError, project_exchange
+                             ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
+from mpcorr.density import (DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError, TraceNotOneError, mix,
+                            partial_trace, partial_transpose, tensor, validate)
+from mpcorr.exchange import NullProjectionError, exchange_projector, project_exchange
 from mpcorr.families import generalized_werner
 from mpcorr.measures import Context, measure_set
 
@@ -162,11 +163,49 @@ def test_decompose_maps_the_hermitian_part(dims, rng):
     for a, b in zip((*got.coherence_vectors, *got.correlations.values()),
                     (*want.coherence_vectors, *want.correlations.values())):
         assert np.abs(a - b).max() <= 1e-15
+    if len(dims) == 2:          # the decomposition-level PH test reads the Hermitian part too
+        hermitian = DensityMatrix(dims, (rho.matrix + rho.matrix.conj().T) / 2)
+        want = np.linalg.eigvalsh(partial_transpose(hermitian, 1).matrix).min()
+        assert abs(ph_test_signflip(rho).min_eigenvalue - want) <= 1e-15
     # a real stack with an antisymmetric error: its symmetric part
     real = rho.matrix.real[None]
     got, want = decompose_stack(dims, real), decompose_stack(dims, (real + real.transpose(0, 2, 1)) / 2)
     for a, b in zip((*got[0], *got[1].values()), (*want[0], *want[1].values())):
         assert np.abs(a - b).max() <= 1e-15
+
+
+def test_derived_states_are_built_from_their_hermitian_part():
+    # 1/4 + i (r / 2) X x 1 has residual r; its partial trace adds two
+    # blocks, so 2r, past the bound.  The derived state is the Hermitian part.
+    r = 0.75 * HERMITICITY_TOL
+    rho = validate(np.eye(4) / 4 + 1j * r / 2 * np.kron(X, I2), (2, 2))
+    assert np.array_equal(partial_trace(rho, [0]).matrix, I2 / 2)
+    # diag(1 + i s, 0) has residual 2s, and its tensor square 4s
+    qubit = validate(np.diag([1 + 0.45j * HERMITICITY_TOL, 0]), (2,))
+    assert np.array_equal(tensor(qubit, qubit).matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    vector = np.array([0.6, 0.0, 0.8])
+    derived = [mix([0.5, 0.5], [rho, tensor(qubit, qubit)]),
+               reconstruct(BlochDecomposition((2, 2), [vector, -vector], {(0, 1): np.outer(vector, -vector)}))]
+    for state in derived:
+        assert np.array_equal(state.matrix, state.matrix.conj().T)
+
+
+def test_exchange_projection_of_a_small_sector(rng):
+    # antisymmetric weight 1e-6 and an anti-Hermitian error inside the bound:
+    # dividing P rho P by the weight magnifies the error a millionfold, but
+    # the projection is built from the Hermitian part of P rho P
+    weight = 1e-6
+    sym, anti = (exchange_projector(3, kind).matrix for kind in ("symmetric", "antisymmetric"))
+    g = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    a, b = sym @ g @ g.conj().T @ sym, anti @ g @ g.conj().T @ anti
+    err = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    err -= err.conj().T
+    err *= 0.9 * HERMITICITY_TOL / np.abs(err - err.conj().T).max()
+    rho = DensityMatrix((3, 3), (1 - weight) * a / np.trace(a).real + weight * b / np.trace(b).real + err)
+    result = project_exchange(rho, "antisymmetric")
+    assert result.weight == pytest.approx(weight, rel=1e-9)
+    assert np.array_equal(result.projected.matrix, result.projected.matrix.conj().T)
+    assert np.abs(result.projected.matrix - b / np.trace(b).real).max() < 1e-5
 
 
 @SIDES
