@@ -21,7 +21,7 @@ marginal.  T has exactly as many entries as rho, and costs one mode product
 per party and no partial traces.
 
 :func:`decompose` (:func:`decompose_stack` for a stack) is the one way in,
-for any shape of two or more parties; :func:`coherence_vector` gives n of one party.
+for any number of parties; a :class:`BlochDecomposition` is checked when built.
 
 The map is real both ways, for real and complex stacks.  The identity,
 symmetric and diagonal generators are real and the antisymmetric ones i
@@ -55,8 +55,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .density import DensityMatrix, _hermitian_part, _require_finite
+from .density import DensityMatrix, _dims, _hermitian_part, _require_finite
 from .su_basis import gell_mann_basis
+
+
+@lru_cache(maxsize=None)
+def _shapes(dims: tuple[int, ...]) -> dict:
+    """Each party subset, as an increasing tuple, to its part's shape: one axis of n_I^2 - 1 per party."""
+    n = len(dims)
+    return {s: tuple(dims[p] ** 2 - 1 for p in s) for k in range(1, n + 1) for s in combinations(range(n), k)}
+
 
 @dataclass(frozen=True)
 class BlochDecomposition:
@@ -65,9 +73,11 @@ class BlochDecomposition:
     ``coherence_vectors[I]`` has length n_I^2 - 1.  ``correlations`` is the
     one tensor mapping: each subset of two or more parties, as an increasing
     tuple, maps to its tensor (C for a pair, D for a triple, E for four
-    parties, and so on), so ``correlations[(0, 1, 2)]`` is D.  :meth:`pair`
-    reads a C matrix in either party order.  A NaN or infinite entry raises
-    ValueError.
+    parties, and so on), so ``correlations[(0, 1, 2)]`` is D; one party has
+    none.  :meth:`pair` reads a C matrix in either party order.  Construction
+    is the one check of a decomposition: dims as for a DensityMatrix, one
+    vector per party, keys as above, each part of its sector's shape and
+    finite, else ValueError; the parts are kept as read-only copies.
     """
 
     dims: tuple[int, ...]
@@ -75,8 +85,23 @@ class BlochDecomposition:
     correlations: Mapping[tuple[int, ...], np.ndarray]
 
     def __post_init__(self):
-        parts = (*self.coherence_vectors, *self.correlations.values())
-        _require_finite(np.concatenate([np.zeros(0), *map(np.ravel, parts)]), "decomposition")
+        dims, vectors = _dims(self.dims), tuple(self.coherence_vectors)
+        n, shapes = len(dims), _shapes(dims)
+        if len(vectors) != n:
+            raise ValueError(f"got {len(vectors)} coherence vectors for the {n} parties of dims {dims}")
+        for key in self.correlations:
+            if key not in shapes or len(key) < 2:
+                raise ValueError(f"correlation key {key!r} must name 2+ of the {n} parties in increasing order")
+        parts = {key: np.array(part, dtype=float)      # copies, which the caller's arrays do not reach
+                 for key, part in [*(((p,), v) for p, v in enumerate(vectors)), *self.correlations.items()]}
+        for key, arr in parts.items():
+            if arr.shape != shapes[key]:
+                raise ValueError(f"decomposition part on parties {key} has shape {arr.shape}, expected {shapes[key]}")
+            arr.setflags(write=False)
+        _require_finite(np.concatenate([arr.ravel() for arr in parts.values()]), "decomposition")
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "coherence_vectors", tuple(parts.pop((p,)) for p in range(n)))
+        object.__setattr__(self, "correlations", MappingProxyType(parts))
 
     def pair(self, i: int, j: int) -> np.ndarray:
         """C matrix for an (unordered) party pair, transposed as needed; a
@@ -87,7 +112,7 @@ class BlochDecomposition:
         if i == j:
             raise ValueError("a correlation matrix needs two distinct parties")
         a, b = sorted((i, j))
-        c = self.correlations.get((a, b), np.broadcast_to(0.0, (self.dims[a] ** 2 - 1, self.dims[b] ** 2 - 1)))
+        c = self.correlations.get((a, b), np.broadcast_to(0.0, _shapes(self.dims)[(a, b)]))
         return c if i < j else c.T
 
 
@@ -180,38 +205,33 @@ def _sector(n: int, parties: tuple[int, ...]) -> tuple:
     return (Ellipsis,) + tuple(slice(1, None) if p in parties else 0 for p in range(n))
 
 
-def _with_identity(vectors) -> list[np.ndarray]:
-    return [np.concatenate(([1.0], np.asarray(v, dtype=float))) for v in vectors]
-
-
-def _require_parties(dims: tuple[int, ...]) -> None:
-    if len(dims) < 2:
-        raise ValueError(f"a decomposition needs at least two parties, got dims {dims}")
+def _products(vectors) -> np.ndarray:
+    """prod_p [1, n_p] over (B, n_p^2 - 1) coherence vectors, (B, n_1^2, ...,
+    n_N^2): the moment tensors of the products of the one-party marginals."""
+    n = len(vectors)
+    return reduce(np.multiply, [np.concatenate((np.ones((len(v), 1)), v), axis=1)
+                                .reshape((-1,) + (1,) * p + (v.shape[1] + 1,) + (1,) * (n - 1 - p))
+                                for p, v in enumerate(vectors)])
 
 
 def decompose_stack(dims: tuple[int, ...], mats: np.ndarray):
     """Coherence vectors (a tuple of (B, n_I^2 - 1) arrays) and correlation
     tensors (a dict from each party subset of two or more to a (B, ...) array)
-    of a (B, d, d) stack of states of two or more parties; :func:`decompose`
-    is the one-state case."""
-    _require_parties(dims)
+    of a (B, d, d) stack of states, none for one party; :func:`decompose` is
+    the one-state case."""
     n = len(dims)
     t = _moments(dims, mats)
     vectors = tuple(t[_sector(n, (p,))] for p in range(n))
-    ones = np.ones((len(t), 1))
-    outer = [np.concatenate((ones, v), axis=1).reshape((-1,) + (1,) * p + (v.shape[1] + 1,) + (1,) * (n - 1 - p))
-             for p, v in enumerate(vectors)]
-    corr = t - reduce(np.multiply, outer)  # raw moments minus products
+    corr = t - _products(vectors)  # raw moments minus products
     corr.setflags(write=False)
-    return vectors, {s: corr[_sector(n, s)] for k in range(2, n + 1) for s in combinations(range(n), k)}
+    return vectors, {s: corr[_sector(n, s)] for s in _shapes(dims) if len(s) > 1}
 
 
 def decompose(rho: DensityMatrix) -> BlochDecomposition:
-    """Coherence vectors and correlation tensors of a state of two or more
-    parties."""
+    """Coherence vectors and correlation tensors of a state; one party gives
+    its :func:`coherence_vector` and no tensors."""
     vectors, sectors = decompose_stack(rho.dims, rho.matrix[None])
-    return BlochDecomposition(rho.dims, tuple(v[0] for v in vectors),
-                              MappingProxyType({s: c[0] for s, c in sectors.items()}))
+    return BlochDecomposition(rho.dims, tuple(v[0] for v in vectors), {s: c[0] for s, c in sectors.items()})
 
 
 def coherence_vector(rho: DensityMatrix) -> np.ndarray:
@@ -230,19 +250,8 @@ def reconstruct(decomp: BlochDecomposition) -> DensityMatrix:
     positivity; it is not re-validated here.  A missing correlation tensor
     counts as zero.
     """
-    dims = tuple(decomp.dims)
-    _require_parties(dims)
-    n = len(dims)
-    shapes = [np.shape(v) for v in decomp.coherence_vectors]
-    if shapes != [(d * d - 1,) for d in dims]:
-        raise ValueError(f"coherence vectors have shapes {shapes}, expected lengths n^2 - 1 for dims {dims}")
-    t = reduce(np.multiply.outer, _with_identity(decomp.coherence_vectors))
+    dims, n = decomp.dims, len(decomp.dims)
+    t = _products([v[None] for v in decomp.coherence_vectors])
     for parties, corr in decomp.correlations.items():
-        if len(parties) < 2 or list(parties) != sorted(set(parties)) or parties[0] < 0 or parties[-1] >= n:
-            raise ValueError(f"correlation key {parties} must name 2+ distinct parties of the {n} in increasing order")
-        corr = np.asarray(corr, dtype=float)
-        want = tuple(dims[p] ** 2 - 1 for p in parties)
-        if corr.shape != want:
-            raise ValueError(f"correlation tensor {parties} has shape {corr.shape}, expected {want}")
         t[_sector(n, parties)] += corr
-    return DensityMatrix(dims, _hermitian_part(_from_moments(dims, t[None])[0]))
+    return DensityMatrix(dims, _hermitian_part(_from_moments(dims, t)[0]))

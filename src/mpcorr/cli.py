@@ -11,9 +11,9 @@ Subcommands:
 Exit codes: 0 ok, 1 usage error or an input file that cannot be read or
 parsed or an output file that cannot be written, 2 state validation failure
 (residuals as JSON on stderr), 3 unsupported party structure, 4 bad
-family/sweep spec.  :func:`main` alone maps failures to these codes; every
-failure prints one line to stderr (the residual object for 2), never a
-traceback, and writes no output file.
+family/sweep spec.  Each command returns its text and :func:`main` alone
+writes it and maps failures to these codes; every failure prints one line to
+stderr (the residual object for 2), never a traceback, and writes no output file.
 
 The families, their parameters and their states come from the one table in
 :mod:`families`; this module names no family.  Output is deterministic:
@@ -85,8 +85,8 @@ def load_state(path: str) -> DensityMatrix:
         raise InputError(exc) from exc
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    if path == "-":
         sys.stdout.write(text)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -99,9 +99,10 @@ def _dump_json(obj) -> str:
 
 def decomposition_report(rho: DensityMatrix) -> dict:
     """Vectors and tensors of a state of two to four parties; this format has
-    no key for the four-party sectors of a larger state."""
-    if rho.num_parties > 4:
-        raise ValueError(f"the decompose report covers at most four parties, got dims {list(rho.dims)}")
+    no key for the four-party sectors of a larger state, nor for one party."""
+    if not 2 <= rho.num_parties <= 4:
+        size = "at most four" if rho.num_parties > 4 else "two or more"
+        raise ValueError(f"the decompose report covers {size} parties, got dims {list(rho.dims)}")
     dec = decompose(rho)
     n = rho.num_parties
 
@@ -117,19 +118,23 @@ def decomposition_report(rho: DensityMatrix) -> dict:
     }
 
 
-def cmd_decompose(args) -> None:
-    _write_text(args.output, _dump_json(decomposition_report(load_state(args.input))))
-
-
-def cmd_measure(args) -> None:
-    ms = measure_set(load_state(args.input))
-    _write_text(args.output, _dump_json({key: value for key, value in asdict(ms).items() if value is not None}))
-
-
-def cmd_classify(args) -> None:
-    rep = classify_two_qubit(load_state(args.input))
+def _classification_report(rho: DensityMatrix) -> dict:
+    rep = classify_two_qubit(rho)
     # the report's fields in their declared order, invariants as an object or null
-    _write_text(args.output, _dump_json({**asdict(rep), "category": rep.category.value}))
+    return {**asdict(rep), "category": rep.category.value}
+
+
+# state command -> (help, report of the state in its --input file)
+_STATE_COMMANDS = {
+    "decompose": ("decompose a state into coherence vectors and correlation tensors", decomposition_report),
+    "measure": ("compute the correlation measures of a state",
+                lambda rho: {key: value for key, value in asdict(measure_set(rho)).items() if value is not None}),
+    "classify": ("classify a two-qubit state", _classification_report),
+}
+
+
+def _cmd_state(args) -> str:
+    return _dump_json(args.report(load_state(args.input)))
 
 
 def _parse_set(pairs) -> dict:
@@ -145,9 +150,8 @@ def _parse_set(pairs) -> dict:
     return params
 
 
-def cmd_family(args) -> None:
-    rho = build_family(args.family, _parse_set(args.set))
-    _write_text(args.output, _dump_json(state_to_json_dict(rho)))
+def cmd_family(args) -> str:
+    return _dump_json(state_to_json_dict(build_family(args.family, _parse_set(args.set))))
 
 
 def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
@@ -181,7 +185,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
     return rows
 
 
-def cmd_sweep(args) -> None:
+def cmd_sweep(args) -> str:
     family_row(args.family, sweep=True)         # name an unknown or unsweepable family before reading its grids
     grids = [_parse_grid(spec) for spec in args.param or []]
     if not grids:
@@ -198,8 +202,7 @@ def cmd_sweep(args) -> None:
     for o in outputs:
         if o not in OUTPUTS:
             raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")
-    rows = _sweep_rows(args.family, grids, outputs)
-    _write_text(args.output, "\n".join([",".join(names + outputs)] + rows) + "\n")
+    return "\n".join([",".join(names + outputs)] + _sweep_rows(args.family, grids, outputs)) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -218,26 +221,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decompose", help="decompose a state into coherence vectors and correlation tensors")
-    p.add_argument("--input", required=True, help="state JSON file (or family-spec JSON)")
-    p.add_argument("--output", default="-", help="report JSON path (default stdout)")
-    p.set_defaults(func=cmd_decompose, failure_code=EXIT_UNSUPPORTED_SHAPE)
-
-    p = sub.add_parser("measure", help="compute the correlation measures of a state")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_measure, failure_code=EXIT_UNSUPPORTED_SHAPE)
-
-    p = sub.add_parser("classify", help="classify a two-qubit state")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", default="-")
-    p.set_defaults(func=cmd_classify, failure_code=EXIT_UNSUPPORTED_SHAPE)
+    for name, (text, report) in _STATE_COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--input", required=True, help="state JSON file (or family-spec JSON)")
+        p.set_defaults(func=_cmd_state, report=report, failure_code=EXIT_UNSUPPORTED_SHAPE)
 
     p = sub.add_parser("family", help="instantiate a named state family")
     p.add_argument("--family", required=True, help=f"one of {', '.join(sorted(FAMILY_BUILDERS))}")
     p.add_argument("--set", action="append", metavar="NAME=VALUE",
                    help="family parameter (repeatable); values parsed as JSON when possible")
-    p.add_argument("--output", default="-")
     p.set_defaults(func=cmd_family, failure_code=EXIT_BAD_SPEC)
 
     p = sub.add_parser("sweep", help="evaluate outputs over a parameter grid, emit CSV")
@@ -246,8 +238,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parameter grid (repeatable, declared order = row-major order)")
     p.add_argument("--outputs", required=True,
                    help=f"comma-separated list from {', '.join(OUTPUTS)}")
-    p.add_argument("--output", default="-", help="CSV path (default stdout)")
     p.set_defaults(func=cmd_sweep, failure_code=EXIT_BAD_SPEC)
+
+    output_help = {"family": None, "sweep": "CSV path (default stdout)"}
+    for name, p in sub.choices.items():     # last, where each command's help lists it
+        p.add_argument("--output", default="-", help=output_help.get(name, "report JSON path (default stdout)"))
     return parser
 
 
@@ -282,7 +277,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         code = args.failure_code
-        args.func(args)
+        _write_text(args.output, args.func(args))
     except SystemExit as exc:           # --help; usage errors raise InputError
         return exc.code
     except StateValidationError as exc:

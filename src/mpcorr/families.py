@@ -15,7 +15,7 @@ from numbers import Real
 
 import numpy as np
 
-from .bloch import _from_moments
+from .bloch import BlochDecomposition, reconstruct
 from .density import DensityMatrix, from_pure, mix, pure_states, tensor
 
 BELL_VECTORS = {
@@ -59,11 +59,6 @@ def rashid_states(theta) -> np.ndarray:
         return pure_states(np.stack([np.exp(-theta) / norm, zero, zero, np.exp(theta) / norm], axis=-1))
 
 
-def _bloch_qubit(n: np.ndarray) -> DensityMatrix:
-    """(1 + n . sigma) / 2, the qubit whose moments are (1, n)."""
-    return DensityMatrix((2,), _from_moments((2,), np.concatenate(([1.0], n))[None])[0])
-
-
 @np.errstate(over="raise")
 def cc_mixture(terms) -> DensityMatrix:
     """Classically correlated two-qubit state sum_k p_k rho_A,k x rho_B,k,
@@ -83,7 +78,8 @@ def cc_mixture(terms) -> DensityMatrix:
             if not np.linalg.norm(n) <= 1.0 + 1e-12:
                 raise ValueError(f"term {k}: Bloch vector {tag} has norm {np.linalg.norm(n):.6f} > 1")
         weights.append(_real(f"term {k}: weight", p))
-        products.append(tensor(_bloch_qubit(na), _bloch_qubit(nb)))
+        # (1 + n . sigma) / 2, the qubit whose coherence vector is n
+        products.append(tensor(*(reconstruct(BlochDecomposition((2,), (n,), {})) for n in (na, nb))))
     return mix(weights, products)
 
 

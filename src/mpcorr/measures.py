@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack
-from .density import DensityMatrix, _dims, _partial_trace, _pure, _purity, _require_finite, is_pure
+from .density import DensityMatrix, _dims, _partial_trace, _pure, _purity, is_pure
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -42,13 +42,10 @@ def _pair_weight(n: int, m: int) -> float:
 def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
     """Bipartite correlation measure K * Tr(C C^T) for an n x m system."""
     dims = _dims(dims)
-    c = np.asarray(c, dtype=float)
-    want = tuple(d * d - 1 for d in dims)
-    if len(dims) != 2 or c.shape != want:
-        raise ValueError(f"e_c_bipartite needs two parties and C of shape (n^2 - 1, m^2 - 1), "
-                         f"got C of shape {c.shape} for dims {dims}")
-    _require_finite(c, "C")
-    return _one("ec", Context(dims, tensors=((), {(0, 1): c})))
+    if len(dims) != 2:
+        raise ValueError(f"e_c_bipartite needs two parties, got dims {dims}")
+    decomp = BlochDecomposition(dims, tuple(np.zeros(d * d - 1) for d in dims), {(0, 1): c})
+    return _one("ec", Context(dims, tensors=((), decomp.correlations)))
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:

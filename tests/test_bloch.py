@@ -17,6 +17,7 @@ from mpcorr.bloch import (BlochDecomposition, coherence_vector, decompose,
 from mpcorr.density import DensityMatrix, NotHermitianError, from_pure, partial_trace, pure_states, tensor
 from mpcorr.families import (generalized_werner_states, ghz, rashid_states,
                              tripartite_qutrit_e3_states)
+from mpcorr.measures import e_c_multipartite, e_d
 from mpcorr.su_basis import gell_mann_basis
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
@@ -193,29 +194,87 @@ class TestReconstruct:
                                  {(0, 1): -np.eye(3)})
         assert np.abs(reconstruct(dec).matrix - dm_of(PSI_MINUS)).max() < 1e-15
 
+    # a malformed decomposition is refused when it is built, before reconstruct sees it
     def test_vector_shape_mismatch(self):
-        dec = BlochDecomposition((2, 2), (np.zeros(4), np.zeros(3)),
-                                 {(0, 1): np.zeros((3, 3))})
         with pytest.raises(ValueError, match="shape"):
-            reconstruct(dec)
+            BlochDecomposition((2, 2), (np.zeros(4), np.zeros(3)), {(0, 1): np.zeros((3, 3))})
 
     def test_pair_shape_mismatch(self):
-        dec = BlochDecomposition((2, 3), (np.zeros(3), np.zeros(8)),
-                                 {(0, 1): np.zeros((3, 3))})
         with pytest.raises(ValueError, match="shape"):
-            reconstruct(dec)
+            BlochDecomposition((2, 3), (np.zeros(3), np.zeros(8)), {(0, 1): np.zeros((3, 3))})
 
     @pytest.mark.parametrize("key", [(1, 0), (0, 0), (0, 2)])
     def test_bad_pair_key_rejected(self, key):
-        dec = BlochDecomposition((2, 2), (np.zeros(3), np.zeros(3)),
-                                 {key: np.zeros((3, 3))})
         with pytest.raises(ValueError, match="increasing order"):
-            reconstruct(dec)
+            BlochDecomposition((2, 2), (np.zeros(3), np.zeros(3)), {key: np.zeros((3, 3))})
 
     def test_quad_tensor_needs_four_parties(self):
-        dec = BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, {(0, 1, 2, 3): np.zeros((3, 3, 3, 3))})
         with pytest.raises(ValueError, match=r"\(0, 1, 2, 3\)"):
-            reconstruct(dec)
+            BlochDecomposition((2, 2, 2), (np.zeros(3),) * 3, {(0, 1, 2, 3): np.zeros((3, 3, 3, 3))})
+
+
+class TestMalformedDecomposition:
+    """Construction is the one check of a decomposition: every malformed one
+    raises ValueError when it is built, so no measure turns it into a number
+    or a numpy error, and the parts it keeps are its own."""
+
+    @pytest.mark.parametrize("dims, vectors, sectors", [
+        ((2, 2, 2), 3, {(0, 1, 2): np.ones((2, 2, 2))}),          # D of the wrong shape
+        ((2, 2, 2), 3, {(2, 1, 0): np.ones((3, 3, 3))}),          # D under a decreasing key
+        ((2, 2, 2), 3, {(0, 1): np.ones((4, 4))}),                # a 4x4 "C" on qubits
+        ((2, 2), 2, {(0, 1): np.zeros((3, 3)), (0,): np.zeros(3)}),   # a one-party key
+        ((2, 2), 2, {(0, 1.5): np.zeros((3, 3))}),                # a non-integer party
+        ((2, 2), 2, {"01": np.zeros((3, 3))}),                    # not a tuple
+        ((2, 2, 2, 2), 4, {(0, 1, 2, 3): np.ones((3, 3, 3))}),    # E missing an axis
+        ((2, 2), 1, {}),                                          # one vector for two parties
+        ((2, 2), 3, {}),                                          # three vectors for two parties
+    ], ids=["d-shape", "d-key", "c-4x4", "one-party-key", "float-key", "str-key", "e-axes",
+            "few-vectors", "many-vectors"])
+    def test_refused_when_built(self, dims, vectors, sectors):
+        with pytest.raises(ValueError):
+            BlochDecomposition(dims, (np.zeros(3),) * vectors, sectors)
+
+    def test_short_vectors_refused(self):
+        # two length-2 "Bloch vectors": once a PHInvariants, now refused
+        with pytest.raises(ValueError, match=r"parties \(0,\) has shape \(2,\)"):
+            BlochDecomposition((2, 2), (np.ones(2), np.ones(2)), {(0, 1): np.zeros((3, 3))})
+
+    @pytest.mark.parametrize("dims", [(0, 2), (1,), (), (2.0, 2)])
+    def test_bad_dims_refused(self, dims):
+        with pytest.raises((TypeError, ValueError)):
+            BlochDecomposition(dims, (np.zeros(3),) * len(dims), {})
+
+    def test_caller_writes_do_not_reach_it(self, rng):
+        vectors = [rng.normal(size=3) for _ in range(3)]
+        sectors = {s: rng.normal(size=(3,) * len(s)) for k in (2, 3) for s in combinations(range(3), k)}
+        dec = BlochDecomposition((2, 2, 2), tuple(vectors), sectors)
+        kept = [v.copy() for v in dec.coherence_vectors], {s: c.copy() for s, c in dec.correlations.items()}
+        before = e_c_multipartite(dec), e_d(dec), reconstruct(dec).matrix
+        for arr in (*vectors, *sectors.values()):
+            arr[...] = np.nan
+        sectors[(0, 1)] = np.ones((3, 3))
+        assert all(np.array_equal(a, b) for a, b in zip(dec.coherence_vectors, kept[0]))
+        assert dec.correlations.keys() == kept[1].keys()
+        assert all(np.array_equal(dec.correlations[s], c) for s, c in kept[1].items())
+        after = e_c_multipartite(dec), e_d(dec), reconstruct(dec).matrix
+        assert before[:2] == after[:2] and np.array_equal(before[2], after[2])
+
+    def test_parts_read_only(self):
+        dec = BlochDecomposition((2, 2), ([0.0] * 3, [0.0] * 3), {(0, 1): [[0.0] * 3] * 3})
+        for arr in (*dec.coherence_vectors, *dec.correlations.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
+        with pytest.raises(TypeError):
+            dec.correlations[(0, 1)] = np.zeros((3, 3))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_one_party_decomposition(n, rng):
+    rho = rand_state((n,), rng)
+    dec = decompose(rho)
+    assert dec.dims == (n,) and dict(dec.correlations) == {}
+    assert same_bits(dec.coherence_vectors[0], coherence_vector(rho))
+    assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < 1e-15
 
 
 class TestNonFiniteDecomposition:
@@ -415,8 +474,7 @@ def test_decompose_dispatch(rng):
     assert decompose(rand_state((2, 2), rng)).dims == (2, 2)
     assert (0, 1, 2) in decompose(rand_state((2, 2, 2), rng)).correlations
     assert (0, 1, 2, 3) in decompose(rand_state((2, 2, 2, 2), rng)).correlations
-    with pytest.raises(ValueError, match="at least two parties"):
-        decompose(rand_state((2,), rng))
+    assert decompose(rand_state((2,), rng)).correlations == {}
 
 
 REAL_SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4), (2,) * 5]

@@ -105,10 +105,15 @@ class TestDecompose:
         assert json.loads(err) == {"error": "NotHermitian", "residual": 1.1e-12}
 
     def test_single_party_exit_3(self, tmp_path, capsys):
+        # the library decomposes one party; the report format has no place for it
         path = write_json(tmp_path / "one.json", {
             "dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
-        code, _, _ = run_cli(["decompose", "--input", path], capsys)
+        out = tmp_path / "report.json"
+        code, stdout, err = run_cli(["decompose", "--input", path, "--output", str(out)], capsys)
         assert code == 3
+        assert one_error_line(stdout, err)
+        assert "covers two or more parties" in err
+        assert not out.exists()
 
     def test_mixed_dimension_triple_matches_oracle(self, tmp_path, capsys, rng):
         mat = random_density_mat(12, rng)
@@ -880,6 +885,14 @@ class TestExitCodes:
         code, out, err = run_cli(argv, capsys)
         assert code == 0
         assert out.startswith("usage: mpcorr") and err == ""
+
+    @pytest.mark.parametrize("command", ["decompose", "measure", "classify"])
+    def test_state_commands_document_their_files(self, command, capsys):
+        # the three state commands are built from one table, so each help names both files
+        code, out, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert re.search(r"--input INPUT\s+state JSON file \(or family-spec JSON\)", out)
+        assert re.search(r"--output OUTPUT\s+report JSON path \(default stdout\)", out)
 
     def test_help_and_usage_error_as_process_exit_codes(self):
         for argv, want in ((["-h"], 0), (["decompose"], 1)):

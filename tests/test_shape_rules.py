@@ -11,7 +11,7 @@ import pytest
 from helpers import random_pure_vec
 
 from mpcorr import classify, measures
-from mpcorr.bloch import BlochDecomposition, coherence_vector, decompose
+from mpcorr.bloch import decompose
 from mpcorr.classify import ph_invariants, ph_test
 from mpcorr.density import from_pure, purity
 from mpcorr.measures import (concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, e_e,
@@ -47,13 +47,6 @@ def pure_state(dims, rng):
     return from_pure(random_pure_vec(math.prod(dims), rng), dims)
 
 
-def decomposition(rho):
-    """decompose needs two parties, so a one-party decomposition is built by hand."""
-    if rho.num_parties == 1:
-        return BlochDecomposition(rho.dims, (coherence_vector(rho),), {})
-    return decompose(rho)
-
-
 def test_every_row_is_covered():
     assert set(ENTRY_POINTS) | NO_ENTRY_POINT == set(ROWS)
     assert set(FIELDS) == set(measures.COLUMNS)
@@ -63,7 +56,7 @@ def test_every_row_is_covered():
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
 def test_entry_point_raises_exactly_where_its_row_does_not_apply(name, dims, rng):
     rho = pure_state(dims, rng)
-    dec = decomposition(rho)
+    dec = decompose(rho)
     if ROWS[name][1](dims):
         ENTRY_POINTS[name](rho, dec)
     else:
@@ -79,7 +72,7 @@ def test_measure_set_fills_exactly_the_rows_that_apply(dims, rng):
         with pytest.raises(ValueError, match="no measures defined"):
             measure_set(rho)
         return
-    ms, dec = measure_set(rho), decomposition(rho)
+    ms, dec = measure_set(rho), decompose(rho)
     want = {FIELDS[name]: ENTRY_POINTS[name](rho, dec) for name in applying}
     got = {field: getattr(ms, field) for field in FIELDS.values()}
     assert got == {field: want.get(field) for field in FIELDS.values()}
