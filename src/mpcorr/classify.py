@@ -1,6 +1,7 @@
 """Classification of bipartite states: correlation-matrix singular values,
 the Peres-Horodecki partial-transpose test (in both its spectral and
-decomposition-level forms), and the two-qubit category report.
+decomposition-level forms), and the two-qubit category report, each built on
+rows of :data:`measures.COLUMNS`; this module defines no row.
 
 Counting nonzero singular values (NSVs) of C separates uncorrelated, pure
 entangled, and few-term classically-correlated states; the partial-transpose
@@ -10,17 +11,13 @@ when the NSV count alone cannot.
 
 import enum
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .bloch import BlochDecomposition, _augmented, _from_moments, _moments
-from .density import DensityMatrix, _partial_transpose, _pure, _purity, _require_finite
-from .measures import Context, _tensors, evaluate, require_column
-
-NSV_ABS_FLOOR = 1e-12
-NSV_REL_FACTOR = 1e-9
-PT_NEGATIVITY_TOL = 1e-10
-BLOCH_DEGENERACY_TOL = 1e-12
+from .density import DensityMatrix, _pure, _require_finite
+from .measures import PT_NEGATIVITY_TOL, Context, _invariants, _pair_decomposition, _spectrum, evaluate, require_column
 
 
 class DegenerateBlochVectorsError(ValueError):
@@ -81,42 +78,14 @@ class ClassificationReport:
     purity: float
 
 
-def _spectrum(c: np.ndarray):
-    """Singular values, NSV threshold max(1e-12, 1e-9 * largest singular
-    value) and NSV count of one correlation matrix or of a (B, ...) stack."""
-    sv = np.linalg.svd(c, compute_uv=False)
-    threshold = np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv.max(axis=-1, initial=0.0))
-    return sv, threshold, (sv > threshold[..., None]).sum(axis=-1)
-
-
-def _pt_min(ctx: Context) -> np.ndarray:
-    """Least eigenvalue of the partial transpose on the second party of each
-    bipartite state of a context, from the complex eigensolver also for a
-    real stack, so both give the same bits."""
-    return np.linalg.eigvalsh(_partial_transpose(ctx.dims, ctx.mats, 1).astype(complex, copy=False)).min(axis=-1)
-
-
-def _invariants(ctx: Context):
-    """xi, n_A . n_B and n_A . C . n_B of the two-qubit states of a context,
-    from its vectors and C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
-    run in a fixed order, so a state gives the same bits alone as in a stack."""
-    (na, nb), sectors = ctx(_tensors)
-    na_nb = (na * nb).sum(axis=-1)
-    na_c_nb = ((na[..., :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        xi = np.trace(sectors[(0, 1)], axis1=-2, axis2=-1) - na_c_nb / na_nb
-    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb
-
-
 def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
     """SVD-based spectrum of a real correlation matrix; the NSV threshold is
-    relative (see :func:`_spectrum`), so weakly correlated states are counted
-    on their own scale."""
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2:
-        raise ValueError(f"correlation matrix must be 2-D, got shape {c.shape}")
-    _require_finite(c, "correlation matrix")
-    sv, threshold, count = _spectrum(c)
+    relative (see :func:`measures._spectrum`), so weakly correlated states
+    are counted on their own scale.  C is checked as the pair tensor of
+    parties whose dimensions its shape gives (n^2 - 1 per axis): ValueError
+    for any other shape or a non-finite entry."""
+    dims = tuple(isqrt(k + 1) for k in np.shape(c))
+    sv, threshold, count = _spectrum(_pair_decomposition(dims, c).pair(0, 1))
     sv.setflags(write=False)
     return CorrelationSpectrum(singular_values=sv, nsv_count=int(count), threshold_used=float(threshold))
 
@@ -129,7 +98,7 @@ def _verdict(dims: tuple[int, int], min_eig: float) -> PHVerdict:
 def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
-    column = require_column(COLUMNS, "pt_min", rho.dims)
+    column = require_column("pt_min", rho.dims)
     return _verdict(rho.dims, float(column(Context(rho.dims, rho.matrix))))
 
 
@@ -139,7 +108,7 @@ def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
     generator (for two qubits sigma_y, so n_{y,B} and the C column of
     sigma_{y,B}); the flipped tensor, mapped back to a matrix, is checked for
     positivity.  Agrees with :func:`ph_test`."""
-    require_column(COLUMNS, "pt_min", rho.dims)
+    require_column("pt_min", rho.dims)
     flip = 1 - 2 * _augmented(rho.dims[1])[2]
     pt = _from_moments(rho.dims, _moments(rho.dims, rho.matrix[None]) * flip)
     return _verdict(rho.dims, float(np.linalg.eigvalsh(pt[0]).min()))
@@ -150,7 +119,7 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
 
     Undefined (raises DegenerateBlochVectorsError) when |n_A . n_B| <= 1e-12.
     """
-    require_column(COLUMNS, "xi", decomp.dims)
+    require_column("xi", decomp.dims)
     xi, na_nb, na_c_nb = _invariants(Context(decomp.dims, tensors=(decomp.coherence_vectors,
                                                                    {(0, 1): decomp.pair(0, 1)})))
     if np.isnan(xi):
@@ -190,7 +159,7 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
     ctx = Context(rho.dims, rho.matrix[None])
     names = ("purity", "nsv", "ph", "pt_min")
-    purity, nsv, ph, pt_min = (values[0].item() for values in evaluate(COLUMNS, ctx, names).values())
+    purity, nsv, ph, pt_min = (values[0].item() for values in evaluate(ctx, names).values())
     entangled = bool(ph)
     if _pure(purity):
         category = Category.PURE_PRODUCT if nsv == 0 else Category.PURE_ENTANGLED
@@ -204,20 +173,3 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     return ClassificationReport(category=category, nsv_count=nsv, ph_entangled=entangled, min_pt_eigenvalue=pt_min,
                                 invariants=None if np.isnan(inv.xi) else inv, purity=purity)
 
-
-# The classification quantities as columns, in the form of measures.COLUMNS:
-# the NSV count, the PH verdict (0/1), the two-qubit invariants, xi being NaN
-# where n_A . n_B degenerates, the purity and the least PT eigenvalue.  nsv
-# and the invariants read the context's decomposition, xi and nanb its one
-# invariants pass, ph and pt_min its one PT eigensolve, and purity its
-# matrices.
-COLUMNS = {
-    "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
-            lambda ctx: _spectrum(ctx(_tensors)[1][(0, 1)])[2]),
-    "ph": ("a bipartite state", lambda dims: len(dims) == 2,
-           lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int)),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[0]),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[1]),
-    "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats)),
-    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min)),
-}

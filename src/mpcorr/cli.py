@@ -16,15 +16,17 @@ writes it and maps failures to these codes; every failure prints one line to
 stderr (the residual object for 2), never a traceback, and writes no output file.
 
 The families, their parameters and their states come from the one table in
-:mod:`families`; this module names no family.  Output is deterministic:
-floats are serialized as Python's shortest round-trip decimals, CSV uses
-comma separators and LF line endings, and sweep rows follow the declared
-parameter-grid order.  A sweep evaluates its grid in one thread, as stacks of
-at most SWEEP_CHUNK states from :func:`families.family_stacks`; each cell
-depends on its own point only, so the bytes do not depend on how the grid is
-split into chunks or into commands.  The sweepable families build real
-stacks, for which the moment map skips the products of the imaginary part;
-a cell has the bytes of the same state given as a complex stack.
+:mod:`families`, and the sweep outputs are the rows of the one table of
+quantities, :data:`measures.COLUMNS`; this module names neither.  Output is
+deterministic: floats are serialized as Python's shortest round-trip
+decimals, CSV uses comma separators and LF line endings, and sweep rows
+follow the declared parameter-grid order.  A sweep evaluates its grid in one
+thread, as stacks of at most SWEEP_CHUNK states from
+:func:`families.family_stacks`; each cell depends on its own point only, so
+the bytes do not depend on how the grid is split into chunks or into
+commands.  The sweepable families build real stacks, for which the moment
+map skips the products of the imaginary part; a cell has the bytes of the
+same state given as a complex stack.
 
 On glibc, a process that has run :func:`main` keeps up to 64 MiB of freed
 memory for reuse, so the next chunk or command does not fault a freed stack's
@@ -42,12 +44,11 @@ from math import prod
 
 import numpy as np
 
-from . import classify, measures
 from .bloch import decompose
 from .classify import classify_two_qubit
 from .density import DensityMatrix, StateValidationError, state_from_json_dict, state_to_json_dict
 from .families import FAMILY_BUILDERS, build_family, family_row, family_stacks
-from .measures import Context, evaluate, measure_set
+from .measures import COLUMNS, Context, evaluate, measure_set
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -56,10 +57,6 @@ EXIT_UNSUPPORTED_SHAPE = 3
 EXIT_BAD_SPEC = 4
 
 SWEEP_CHUNK = 1024                      # grid points per stack of states
-
-# Sweep outputs: name -> (what it needs, test on dims, column function), the
-# columns that measures and classify define for their quantities.
-OUTPUTS = {**measures.COLUMNS, **classify.COLUMNS}
 
 
 class InputError(ValueError):
@@ -178,7 +175,7 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
         chunk = np.array(list(islice(points, SWEEP_CHUNK)))
         cells = np.empty((len(chunk), len(outputs)), dtype=object)
         for idx, dims, mats in family_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
-            for j, values in enumerate(evaluate(OUTPUTS, Context(dims, mats), outputs).values()):
+            for j, values in enumerate(evaluate(Context(dims, mats), outputs).values()):
                 cells[idx, j] = np.asarray(values).tolist()
         # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
         rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]
@@ -200,8 +197,8 @@ def cmd_sweep(args) -> str:
     if len(set(outputs)) != len(outputs):
         raise ValueError(f"duplicate output names in {outputs}")
     for o in outputs:
-        if o not in OUTPUTS:
-            raise ValueError(f"unknown output {o!r}; known: {tuple(OUTPUTS)}")
+        if o not in COLUMNS:
+            raise ValueError(f"unknown output {o!r}; known: {tuple(COLUMNS)}")
     return "\n".join([",".join(names + outputs)] + _sweep_rows(args.family, grids, outputs)) + "\n"
 
 
@@ -237,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", metavar="NAME=START:STOP:COUNT",
                    help="parameter grid (repeatable, declared order = row-major order)")
     p.add_argument("--outputs", required=True,
-                   help=f"comma-separated list from {', '.join(OUTPUTS)}")
+                   help=f"comma-separated list from {', '.join(COLUMNS)}")
     p.set_defaults(func=cmd_sweep, failure_code=EXIT_BAD_SPEC)
 
     output_help = {"family": None, "sweep": "CSV path (default stdout)"}

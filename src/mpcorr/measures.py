@@ -1,5 +1,7 @@
-"""Scalar correlation measures over the correlation tensors, plus the
-pure-state comparison quantities (concurrence, entanglement entropy).
+"""The one table of quantities, :data:`COLUMNS`: the correlation measures
+over the correlation tensors, the pure-state comparison quantities
+(concurrence, entanglement entropy) and the classification quantities, with
+the weights and tolerances they apply; :mod:`classify` builds on its rows.
 
 The bipartite measure is K * sum_ij C_ij^2 with K = n_<^2 / (4 (n_<^2 - 1)),
 n_< the smaller party dimension; it reaches exactly 1 on maximally entangled
@@ -12,10 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack
-from .density import DensityMatrix, _dims, _partial_trace, _pure, _purity, is_pure
+from .density import DensityMatrix, _dims, _partial_trace, _partial_transpose, _pure, _purity, is_pure
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
+NSV_ABS_FLOOR = 1e-12
+NSV_REL_FACTOR = 1e-9
+PT_NEGATIVITY_TOL = 1e-10
+BLOCH_DEGENERACY_TOL = 1e-12
 
 
 class MixedStateError(ValueError):
@@ -39,13 +45,18 @@ def _pair_weight(n: int, m: int) -> float:
     return small * small / (4.0 * (small * small - 1.0))
 
 
+def _pair_decomposition(dims: tuple[int, ...], c) -> BlochDecomposition:
+    """A bare correlation matrix as a decomposition: zero coherence vectors
+    and C on parties (0, 1), so C's shape and entries get the one check."""
+    return BlochDecomposition(dims, tuple(np.zeros(d * d - 1) for d in dims), {(0, 1): c})
+
+
 def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
     """Bipartite correlation measure K * Tr(C C^T) for an n x m system."""
     dims = _dims(dims)
     if len(dims) != 2:
         raise ValueError(f"e_c_bipartite needs two parties, got dims {dims}")
-    decomp = BlochDecomposition(dims, tuple(np.zeros(d * d - 1) for d in dims), {(0, 1): c})
-    return _one("ec", Context(dims, tensors=((), decomp.correlations)))
+    return _one("ec", Context(dims, tensors=((), _pair_decomposition(dims, c).correlations)))
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:
@@ -110,26 +121,26 @@ def _sector_norm(parties: int, weight):
                                               for s, c in ctx(_tensors)[1].items() if len(s) == parties)
 
 
-def require_column(table, name: str, dims: tuple[int, ...]):
-    """The column function of row ``name`` of a column table such as
-    :data:`COLUMNS`; ValueError unless the row's test holds for ``dims``."""
-    needs, applies, column = table[name]
+def require_column(name: str, dims: tuple[int, ...]):
+    """The column function of row ``name`` of :data:`COLUMNS`; ValueError
+    unless the row's test holds for ``dims``."""
+    needs, applies, column = COLUMNS[name]
     if not applies(dims):
         raise ValueError(f"{name} output needs {needs}, got dims {dims}")
     return column
 
 
-def evaluate(table, ctx: Context, names) -> dict:
-    """The rows ``names`` of a column table on the context of a (B, d, d)
+def evaluate(ctx: Context, names) -> dict:
+    """The rows ``names`` of :data:`COLUMNS` on the context of a (B, d, d)
     stack, one array of B values per row; the rows share what the context
     computes for them.  ValueError if a row does not apply to its dims."""
-    columns = {name: require_column(table, name, ctx.dims) for name in names}
+    columns = {name: require_column(name, ctx.dims) for name in names}
     return {name: column(ctx) for name, column in columns.items()}
 
 
 def _one(name: str, ctx: Context) -> float:
     """The ``name`` row of COLUMNS on the context of one state."""
-    return float(require_column(COLUMNS, name, ctx.dims)(ctx))
+    return float(require_column(name, ctx.dims)(ctx))
 
 
 def _pure_marginals(what: str, ctx: Context) -> np.ndarray:
@@ -147,14 +158,44 @@ def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
     return terms.sum(axis=-1) + 0.0        # +0.0, not -0.0, for a product
 
 
-# The measures as columns: name -> (what it needs, test on dims, column
+def _spectrum(c: np.ndarray):
+    """Singular values, NSV threshold max(1e-12, 1e-9 * largest singular
+    value) and NSV count of one correlation matrix or of a (B, ...) stack."""
+    sv = np.linalg.svd(c, compute_uv=False)
+    threshold = np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv.max(axis=-1, initial=0.0))
+    return sv, threshold, (sv > threshold[..., None]).sum(axis=-1)
+
+
+def _pt_min(ctx: Context) -> np.ndarray:
+    """Least eigenvalue of the partial transpose on the second party of each
+    bipartite state of a context, from the complex eigensolver also for a
+    real stack, so both give the same bits."""
+    return np.linalg.eigvalsh(_partial_transpose(ctx.dims, ctx.mats, 1).astype(complex, copy=False)).min(axis=-1)
+
+
+def _invariants(ctx: Context):
+    """xi, n_A . n_B and n_A . C . n_B of the two-qubit states of a context,
+    from its vectors and C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
+    run in a fixed order, so a state gives the same bits alone as in a stack."""
+    (na, nb), sectors = ctx(_tensors)
+    na_nb = (na * nb).sum(axis=-1)
+    na_c_nb = ((na[..., :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        xi = np.trace(sectors[(0, 1)], axis1=-2, axis2=-1) - na_c_nb / na_nb
+    return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb
+
+
+# Every quantity as a column: name -> (what it needs, test on dims, column
 # function).  A column function maps the Context of a stack of B states to B
 # values; evaluate applies rows to a stack, and the scalar functions apply a
-# row to one state through _one, so each column is the only code for its
-# quantity and its test the only statement of where it is defined.  The
-# sector norms ec, ed and ee read the context's decomposition; concurrence
-# and entropy (_PURE_ONLY) read the party-A marginals of its matrices, never
-# decompose, and raise MixedStateError on a mixed state.
+# row to one state through _one or require_column, so each column is the
+# only code for its quantity and its test the only statement of where it is
+# defined.  The sector norms ec, ed and ee, the NSV count and the two-qubit
+# invariants (xi being NaN where n_A . n_B degenerates) read the context's
+# decomposition, xi and nanb its one invariants pass, and ph (0/1) and
+# pt_min its one PT eigensolve; concurrence and entropy (_PURE_ONLY) read
+# the party-A marginals of its matrices, never decompose, and raise
+# MixedStateError on a mixed state; purity reads the matrices.
 COLUMNS = {
     "ec": ("two parties or three or more equal-dimension parties",
            lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
@@ -166,19 +207,27 @@ COLUMNS = {
                     np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", ctx)))))),
     "entropy": ("a bipartite state", lambda dims: len(dims) == 2,
                 lambda ctx: _entropy_bits(_pure_marginals("entanglement entropy", ctx))),
+    "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
+            lambda ctx: _spectrum(ctx(_tensors)[1][(0, 1)])[2]),
+    "ph": ("a bipartite state", lambda dims: len(dims) == 2,
+           lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int)),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[0]),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[1]),
+    "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats)),
+    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min)),
 }
 _PURE_ONLY = ("concurrence", "entropy")
 
-# MeasureSet field of each column
+# the rows of the measure report, each with its MeasureSet field
 _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", "entropy": "entropy_bits"}
 
 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
-    """The measures of every row of COLUMNS whose rule holds for the state's
+    """The measures of every row of _FIELDS whose rule holds for the state's
     party structure; concurrence and entropy only when the state is pure."""
     skip = () if is_pure(rho) else _PURE_ONLY
-    names = [name for name, (_, applies, _) in COLUMNS.items() if applies(rho.dims) and name not in skip]
+    names = [name for name in _FIELDS if COLUMNS[name][1](rho.dims) and name not in skip]
     if not names:
         raise ValueError(f"no measures defined for party structure {rho.dims}")
-    values = evaluate(COLUMNS, Context(rho.dims, rho.matrix[None]), names)
+    values = evaluate(Context(rho.dims, rho.matrix[None]), names)
     return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in values.items()})

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from helpers import (kron_all, random_bloch, random_density_mat,
                      random_pure_vec, random_unitary)
 
-from mpcorr import classify
+from mpcorr import measures
 from mpcorr.bloch import BlochDecomposition, decompose
-from mpcorr.classify import (COLUMNS, PT_NEGATIVITY_TOL, Category, DegenerateBlochVectorsError,
+from mpcorr.classify import (Category, DegenerateBlochVectorsError,
                              PHInvariants, classify_two_qubit,
                              correlation_spectrum, ph_condition_explicit,
                              ph_invariants, ph_test, ph_test_signflip)
 from mpcorr.density import PURITY_TOL, DensityMatrix, NotHermitianError, from_pure, mix, tensor
 from mpcorr.families import bell, cc_mixture, generalized_werner
-from mpcorr.measures import Context, evaluate
+from mpcorr.measures import PT_NEGATIVITY_TOL, Context, evaluate
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -60,6 +60,16 @@ class TestCorrelationSpectrum:
     def test_rectangular_has_one_singular_value_per_row(self):
         spec = correlation_spectrum(np.ones((3, 8)))
         assert spec.singular_values.shape == (3,)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (3, 8), (8, 3), (15, 15)], ids=str)
+    def test_rank_one_on_every_pair_shape(self, shape):
+        assert correlation_spectrum(np.ones(shape)).nsv_count == 1
+
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4), (3,), (3, 3, 3)], ids=str)
+    def test_shape_of_no_party_pair_rejected(self, shape):
+        # C of an n x m pair is (n^2 - 1) x (m^2 - 1)
+        with pytest.raises(ValueError, match="decomposition part|correlation key"):
+            correlation_spectrum(np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
@@ -349,7 +359,7 @@ def test_hypothesis_report_fields_are_row_values(seed):
     # the report is what a one-point sweep of its rows gives, bit for bit
     for rho in report_states(seed):
         rep = classify_two_qubit(rho)
-        values = evaluate(COLUMNS, Context((2, 2), rho.matrix[None]), COLUMNS)
+        values = evaluate(Context((2, 2), rho.matrix[None]), ("nsv", "ph", "xi", "nanb", "purity", "pt_min"))
         row = {name: column[0] for name, column in values.items()}
         assert (rep.purity, rep.nsv_count, rep.min_pt_eigenvalue) == (row["purity"], row["nsv"], row["pt_min"])
         assert rep.ph_entangled == bool(row["ph"]) == (row["pt_min"] < -PT_NEGATIVITY_TOL)
@@ -373,9 +383,9 @@ def test_hypothesis_report_fields_are_row_values(seed):
 def test_hypothesis_invariant_rows_do_not_depend_on_the_stack(seed):
     # each state's xi, n_A . n_B and n_A . C . n_B in a stack are its values alone, bit for bit
     mats = np.stack([rho.matrix for rho in report_states(seed)])
-    rows = classify._invariants(Context((2, 2), mats))
+    rows = measures._invariants(Context((2, 2), mats))
     for b in range(len(mats)):
-        alone = classify._invariants(Context((2, 2), mats[b:b + 1]))
+        alone = measures._invariants(Context((2, 2), mats[b:b + 1]))
         assert all(row[b:b + 1].tobytes() == one.tobytes() for row, one in zip(rows, alone))
 
 

@@ -22,10 +22,10 @@ from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 from mpcorr import bloch, classify, cli, families, measures
 from mpcorr.bloch import decompose
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
-from mpcorr.cli import FAMILY_BUILDERS, OUTPUTS, InputError, load_state, main
+from mpcorr.cli import FAMILY_BUILDERS, InputError, load_state, main
 from mpcorr.density import DensityMatrix, TraceNotOneError, mix, pure_states, purity
-from mpcorr.measures import (Context, concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, entanglement_entropy,
-                             evaluate)
+from mpcorr.measures import (COLUMNS, Context, concurrence_pure, e_c_bipartite, e_c_multipartite, e_d,
+                             entanglement_entropy, evaluate, measure_set)
 
 
 def run_cli(argv, capsys):
@@ -218,6 +218,18 @@ class TestMeasure:
         code, _, _ = run_cli(["measure", "--input", path], capsys)
         assert code == 3
 
+    @pytest.mark.parametrize("spec", [{"family": "rashid", "params": {"theta": 0.3}},
+                                      {"family": "generalized-werner", "params": {"p": 0.8, "theta": 0.3}},
+                                      {"family": "ghz", "params": {"parties": 4, "level": 2}}],
+                             ids=lambda spec: spec["family"])
+    def test_report_ignores_a_row_added_to_the_table(self, spec, tmp_path, monkeypatch, capsys):
+        # the report names its own rows, so a new row of any shape is no key of it
+        path = write_json(tmp_path / "state.json", spec)
+        rho = load_state(path)
+        before = measure_set(rho), run_cli(["measure", "--input", path], capsys)
+        monkeypatch.setitem(COLUMNS, "extra", ("any state", lambda dims: True, lambda ctx: np.full(len(ctx.mats), 0.5)))
+        assert (measure_set(rho), run_cli(["measure", "--input", path], capsys)) == before
+
 
 class TestClassify:
     def test_werner_mixed_entangled(self, tmp_path, capsys):
@@ -295,6 +307,15 @@ class TestFamily:
 
 
 class TestSweep:
+    def test_a_row_added_to_the_table_is_an_output(self, monkeypatch, capsys):
+        argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:3", "--param", "theta=0:0:1", "--outputs"]
+        code, plain, _ = run_cli(argv + ["purity"], capsys)
+        assert code == 0
+        monkeypatch.setitem(COLUMNS, "extra", ("any state", lambda dims: True, lambda ctx: np.full(len(ctx.mats), 0.5)))
+        code, out, err = run_cli(argv + ["purity,extra"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [line + cell for line, cell in zip(plain.splitlines(), [",extra"] + [",0.5"] * 3)]
+
     def test_rashid_triple_curve(self, tmp_path, capsys):
         out = tmp_path / "fig2.csv"
         code, _, _ = run_cli(["sweep", "--family", "rashid",
@@ -678,8 +699,8 @@ def test_real_family_sweeps_match_complex_stacks(family, monkeypatch, capsys):
         points = np.array(list(product(*(np.linspace(*spec) for spec in grid.values()))))
         groups = stacks(**dict(zip(grid, points.T)))
         assert all(mats.dtype == float for _, _, mats in groups)
-        pure = all((OUTPUTS["purity"][2](Context(dims, mats)) > 1 - 1e-8).all() for _, dims, mats in groups)
-        outputs = [name for name, (_, applies, _) in OUTPUTS.items()
+        pure = all((COLUMNS["purity"][2](Context(dims, mats)) > 1 - 1e-8).all() for _, dims, mats in groups)
+        outputs = [name for name, (_, applies, _) in COLUMNS.items()
                    if all(applies(dims) for _, dims, _ in groups) and (pure or name not in ("concurrence", "entropy"))]
         argv = ["sweep", "--family", family, "--outputs", ",".join(outputs)]
         argv += [arg for name, (a, b, n) in grid.items() for arg in ("--param", f"{name}={a}:{b}:{n}")]
@@ -701,22 +722,22 @@ def test_output_columns_read_real_stacks_as_complex_copies(dims, rng):
     stacks = {True: pure_states(rng.normal(size=(8, d))),
               False: factors @ factors.transpose(0, 2, 1) / (factors ** 2).sum(axis=(1, 2))[:, None, None]}
     for pure, mats in stacks.items():
-        names = [name for name, (_, applies, _) in OUTPUTS.items()
+        names = [name for name, (_, applies, _) in COLUMNS.items()
                  if applies(dims) and (pure or name not in ("concurrence", "entropy"))]
-        real = evaluate(OUTPUTS, Context(dims, mats), names)
-        complex_ = evaluate(OUTPUTS, Context(dims, mats.astype(complex)), names)
+        real = evaluate(Context(dims, mats), names)
+        complex_ = evaluate(Context(dims, mats.astype(complex)), names)
         for name in names:
             assert np.asarray(real[name]).tobytes() == np.asarray(complex_[name]).tobytes(), name
 
 
 def test_ph_and_pt_min_share_one_eigensolve_per_stack(monkeypatch, capsys):
-    stacks, pt_min = [], classify._pt_min
+    stacks, pt_min = [], measures._pt_min
 
     def counted(ctx):
         stacks.append(len(ctx.mats))
         return pt_min(ctx)
 
-    monkeypatch.setattr(classify, "_pt_min", counted)
+    monkeypatch.setattr(measures, "_pt_min", counted)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 50)
     argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:11", "--param", "theta=-2:2:11"]
     assert run_cli(argv + ["--outputs", "ph,pt_min"], capsys)[0] == 0
@@ -724,13 +745,13 @@ def test_ph_and_pt_min_share_one_eigensolve_per_stack(monkeypatch, capsys):
 
 
 def test_xi_and_nanb_share_one_invariants_pass_per_stack(monkeypatch, capsys):
-    stacks, invariants = [], classify._invariants
+    stacks, invariants = [], measures._invariants
 
     def counted(ctx):
         stacks.append(len(ctx.mats))
         return invariants(ctx)
 
-    monkeypatch.setattr(classify, "_invariants", counted)
+    monkeypatch.setattr(measures, "_invariants", counted)
     monkeypatch.setattr(cli, "SWEEP_CHUNK", 50)
     argv = ["sweep", "--family", "generalized-werner", "--param", "p=0:1:11", "--param", "theta=-2:2:11"]
     assert run_cli(argv + ["--outputs", "xi,nanb"], capsys)[0] == 0
@@ -837,7 +858,7 @@ def test_output_columns_match_scalar_api_on_random_states(dims, rng):
     rhos += [mix([1 - 1e-11, 1e-11], [classical, rho]) for rho in rhos[2:]]
     mats = np.stack([rho.matrix for rho in rhos])
     ctx = Context(dims, mats)
-    for name, (_, applies, column) in OUTPUTS.items():
+    for name, (_, applies, column) in COLUMNS.items():
         if not applies(dims) or name in ("concurrence", "entropy"):
             continue
         got = np.asarray(column(ctx)).tolist()

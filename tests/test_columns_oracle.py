@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 from helpers import (kron_all, oracle_basis, oracle_cumulant, oracle_pair_c, oracle_ptrace,
                      oracle_ptranspose, oracle_vectors, random_density_mat)
 
-from mpcorr import classify, measures
-from mpcorr.classify import BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL, ph_test
+from mpcorr import measures
+from mpcorr.classify import ph_test
 from mpcorr.density import DensityMatrix
-from mpcorr.measures import Context, MixedStateError
+from mpcorr.measures import (BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL, Context,
+                             MixedStateError)
 
 SHAPES = [(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2)]
 
@@ -67,7 +68,7 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
     classical = 0.3 * product_state(dims, rng, 1) + 0.7 * product_state(dims, rng, 1)
     mats = np.stack([noisy, product_state(dims, rng, rank), classical, (1 - 1e-11) * classical + 1e-11 * noisy])
     ctx = Context(dims, mats)
-    columns = {name: column for name, (_, applies, column) in {**measures.COLUMNS, **classify.COLUMNS}.items()
+    columns = {name: column for name, (_, applies, column) in measures.COLUMNS.items()
                if applies(dims)}
     if len(dims) == 2:      # the stack holds mixed states, which the pure-state rows refuse
         for name in ("concurrence", "entropy"):

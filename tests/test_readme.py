@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 import mpcorr
-from mpcorr.cli import OUTPUTS, main
+from mpcorr.cli import main
+from mpcorr.measures import COLUMNS
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -48,7 +49,7 @@ def test_shell_commands_exit_0(tmp_path, monkeypatch, capsys):
 
 def test_available_outputs_are_the_sweep_outputs():
     (listed,) = re.findall(r"^Available outputs: (.*?)\. ", README, flags=re.M | re.S)
-    assert re.findall(r"`(\w+)`", listed) == list(OUTPUTS)
+    assert re.findall(r"`(\w+)`", listed) == list(COLUMNS)
 
 
 def test_star_import():

@@ -1,7 +1,7 @@
-"""Each row of measures.COLUMNS and classify.COLUMNS is the one statement of
-the party structures its quantity is defined on.  The scalar entry points
-raise ValueError exactly where the row's test is False, and measure_set fills
-a field exactly where its row applies, with the entry point's value."""
+"""Each row of measures.COLUMNS is the one statement of the party structures
+its quantity is defined on.  The scalar entry points raise ValueError exactly
+where the row's test is False, and measure_set fills a field of a report row
+(measures._FIELDS) exactly where its row applies, with the entry point's value."""
 
 import math
 
@@ -10,7 +10,7 @@ import pytest
 
 from helpers import random_pure_vec
 
-from mpcorr import classify, measures
+from mpcorr import measures
 from mpcorr.bloch import decompose
 from mpcorr.classify import ph_invariants, ph_test
 from mpcorr.density import from_pure, purity
@@ -20,7 +20,7 @@ from mpcorr.measures import (concurrence_pure, e_c_bipartite, e_c_multipartite, 
 SHAPES = [(2,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2),
           (3, 3, 3, 3), (2,) * 5]
 
-ROWS = {**measures.COLUMNS, **classify.COLUMNS}
+ROWS = measures.COLUMNS
 
 # the scalar entry point of each row, on a state and its decomposition
 ENTRY_POINTS = {
@@ -49,7 +49,7 @@ def pure_state(dims, rng):
 
 def test_every_row_is_covered():
     assert set(ENTRY_POINTS) | NO_ENTRY_POINT == set(ROWS)
-    assert set(FIELDS) == set(measures.COLUMNS)
+    assert FIELDS == measures._FIELDS
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=lambda dims: "x".join(map(str, dims)))
@@ -67,7 +67,7 @@ def test_entry_point_raises_exactly_where_its_row_does_not_apply(name, dims, rng
 @pytest.mark.parametrize("dims", SHAPES, ids=lambda dims: "x".join(map(str, dims)))
 def test_measure_set_fills_exactly_the_rows_that_apply(dims, rng):
     rho = pure_state(dims, rng)
-    applying = [name for name, (_, applies, _) in measures.COLUMNS.items() if applies(dims)]
+    applying = [name for name in measures._FIELDS if ROWS[name][1](dims)]
     if not applying:
         with pytest.raises(ValueError, match="no measures defined"):
             measure_set(rho)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from mpcorr import classify
+from mpcorr import measures
 from mpcorr.bloch import BlochDecomposition, decompose, decompose_stack, reconstruct
 from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
                              ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
@@ -24,7 +24,7 @@ from mpcorr.measures import Context, measure_set
 HERMITICITY_TOL = TRACE_TOL = 1e-12     # density
 PSD_TOL = 1e-10
 PURITY_TOL = 1e-8
-NSV_ABS_FLOOR = 1e-12                   # classify
+NSV_ABS_FLOOR = 1e-12                   # measures
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
 BLOCH_DEGENERACY_TOL = 1e-12
@@ -46,7 +46,7 @@ def two_qubit(*terms) -> DensityMatrix:
 
 def column(name: str, rho: DensityMatrix):
     """The value of one classification column on the one-state stack of rho."""
-    return classify.COLUMNS[name][2](Context(rho.dims, rho.matrix[None])).tolist()[0]
+    return measures.COLUMNS[name][2](Context(rho.dims, rho.matrix[None])).tolist()[0]
 
 
 def expect(crossed: bool, error, call):
