@@ -66,7 +66,7 @@ def _shapes(dims: tuple[int, ...]) -> dict:
     return {s: tuple(dims[p] ** 2 - 1 for p in s) for k in range(1, n + 1) for s in combinations(range(n), k)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlochDecomposition:
     """Coherence vectors plus the correlation tensor of every party subset.
 
@@ -78,6 +78,7 @@ class BlochDecomposition:
     is the one check of a decomposition: dims as for a DensityMatrix, one
     vector per party, keys as above, each part of its sector's shape and
     finite, else ValueError; the parts are kept as read-only copies.
+    ``==`` and ``hash`` are identity; compare values through the arrays.
     """
 
     dims: tuple[int, ...]

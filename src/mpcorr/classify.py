@@ -24,9 +24,9 @@ class DegenerateBlochVectorsError(ValueError):
     """n_A . n_B is (numerically) zero, so the xi invariant is undefined."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationSpectrum:
-    """Singular values of a correlation matrix with the NSV count."""
+    """Singular values of a correlation matrix with the NSV count; ``==`` is identity."""
 
     singular_values: np.ndarray
     nsv_count: int

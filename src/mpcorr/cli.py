@@ -11,9 +11,11 @@ Subcommands:
 Exit codes: 0 ok, 1 usage error or an input file that cannot be read or
 parsed or an output file that cannot be written, 2 state validation failure
 (residuals as JSON on stderr), 3 unsupported party structure, 4 bad
-family/sweep spec.  Each command returns its text and :func:`main` alone
-writes it and maps failures to these codes; every failure prints one line to
-stderr (the residual object for 2), never a traceback, and writes no output file.
+family/sweep spec.  Each command returns its text; :func:`main` alone loads
+its input, writes its text and maps a failure to the code of the phase it
+happened in (2 for a state that fails validation, in any phase).  Every
+failure prints one line to stderr (the residual object for 2), never a
+traceback, and writes no output file.
 
 The families, their parameters and their states come from the one table in
 :mod:`families`, and the sweep outputs are the rows of the one table of
@@ -59,27 +61,18 @@ EXIT_BAD_SPEC = 4
 SWEEP_CHUNK = 1024                      # grid points per stack of states
 
 
-class InputError(ValueError):
-    """The command line or an input file could not be parsed (exit 1)."""
-
-
 def load_state(path: str) -> DensityMatrix:
-    """Read a state JSON file; family-spec JSON is accepted too.  A file
-    that does not parse raises InputError; StateValidationError and OSError
-    pass through."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-        if isinstance(obj, dict) and "family" in obj:
-            params = obj.get("params", {})
-            if not isinstance(params, dict):
-                raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
-            return build_family(obj["family"], params)
-        return state_from_json_dict(obj)
-    except StateValidationError:
-        raise
-    except (TypeError, ValueError, ArithmeticError, RecursionError) as exc:
-        raise InputError(exc) from exc
+    """Read a state JSON file; family-spec JSON is accepted too.  Whatever
+    reading, parsing or building the state raises passes through, for
+    :func:`main` to map to exit 1 (2 for a StateValidationError)."""
+    with open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if isinstance(obj, dict) and "family" in obj:
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
+        return build_family(obj["family"], params)
+    return state_from_json_dict(obj)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -131,7 +124,7 @@ _STATE_COMMANDS = {
 
 
 def _cmd_state(args) -> str:
-    return _dump_json(args.report(load_state(args.input)))
+    return _dump_json(args.report(args.state))
 
 
 def _parse_set(pairs) -> dict:
@@ -203,10 +196,10 @@ def cmd_sweep(args) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises InputError on a usage error, for :func:`main` to report."""
+    """Raises ValueError on a usage error, for :func:`main` to report."""
 
     def error(self, message):
-        raise InputError(f"{self.prog}: {message}")
+        raise ValueError(f"{self.prog}: {message}")
 
 
 @cache
@@ -264,25 +257,26 @@ def _fail(exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one command and return its exit code.  Each failure is reported
-    as one ``error:`` line on stderr: a usage error, an input file that does
-    not parse and a file that cannot be opened give 1; any other TypeError,
-    ValueError or MemoryError gives the command's failure code.  A state
-    that fails validation gives 2, with its residual as a JSON object."""
+    """Run one command and return its exit code.  A failure is one ``error:``
+    line on stderr and the code of its phase, held in ``code``: 1 while argv
+    is parsed and ``--input`` loaded, the command's failure code while it
+    runs, 1 while its output is written.  A state that fails validation
+    gives 2, with its residual as a JSON object."""
     _keep_freed_memory()
     code = EXIT_PARSE
     try:
         args = build_parser().parse_args(argv)
+        if "input" in args:
+            args.state = load_state(args.input)
         code = args.failure_code
-        _write_text(args.output, args.func(args))
-    except SystemExit as exc:           # --help; usage errors raise InputError
+        text, code = args.func(args), EXIT_PARSE
+        _write_text(args.output, text)
+    except SystemExit as exc:           # --help; usage errors raise ValueError
         return exc.code
     except StateValidationError as exc:
         sys.stderr.write(_dump_json({"error": exc.kind, "residual": exc.residual}))
         return EXIT_VALIDATION
-    except (InputError, OSError) as exc:
-        return _fail(exc, EXIT_PARSE)
-    except (TypeError, ValueError, MemoryError) as exc:
+    except (OSError, TypeError, ValueError, ArithmeticError, RecursionError, MemoryError) as exc:
         return _fail(exc, code)
     return EXIT_OK
 

@@ -64,7 +64,7 @@ def _check_shape(dims: tuple[int, ...], matrix: np.ndarray) -> None:
         raise ValueError(f"matrix shape {matrix.shape} does not match dims {dims} (expected {(d, d)})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Hermitian matrix over a tensor product of subsystems, without the
     trace/positivity requirements (partial transposes, symmetrizers, ...).
@@ -74,6 +74,7 @@ class HermitianOperator:
     the one place Hermiticity is checked: construction raises ValueError for
     a NaN or infinite entry, NotHermitianError when max |M - M^dag| exceeds
     HERMITICITY_TOL, and FloatingPointError when that residual overflows.
+    ``==`` and ``hash`` are identity; compare values through ``matrix``.
     """
 
     dims: tuple[int, ...]
@@ -91,7 +92,7 @@ class HermitianOperator:
             raise NotHermitianError(f"{self._noun} is not Hermitian (max |M - M^dag| = {herm:.3e})", herm)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix(HermitianOperator):
     """A HermitianOperator that is also unit-trace and positive
     semidefinite, so Hermitian within HERMITICITY_TOL from construction.

@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from functools import reduce
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +23,7 @@ from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 from mpcorr import bloch, classify, cli, families, measures
 from mpcorr.bloch import decompose
 from mpcorr.classify import DegenerateBlochVectorsError, correlation_spectrum, ph_invariants, ph_test
-from mpcorr.cli import FAMILY_BUILDERS, InputError, load_state, main
+from mpcorr.cli import FAMILY_BUILDERS, load_state, main
 from mpcorr.density import DensityMatrix, TraceNotOneError, mix, pure_states, purity
 from mpcorr.measures import (COLUMNS, Context, concurrence_pure, e_c_bipartite, e_c_multipartite, e_d,
                              entanglement_entropy, evaluate, measure_set)
@@ -458,15 +459,14 @@ def test_bad_family_spec_exit_1(spec, command, tmp_path, capsys):
 
 
 def test_load_state_error_types(tmp_path):
-    # a file that does not parse is an InputError; a state that fails validation is not
+    # load_state raises what reading, parsing or validating raises; main maps each to its exit code
     malformed = tmp_path / "malformed.json"
     malformed.write_text("{not json")
-    with pytest.raises(InputError):
+    with pytest.raises(json.JSONDecodeError):
         load_state(str(malformed))
     path = write_json(tmp_path / "trace.json", {"dims": [2], "matrix": [[[0.7, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
-    with pytest.raises(TraceNotOneError) as info:
+    with pytest.raises(TraceNotOneError):
         load_state(path)
-    assert not isinstance(info.value, InputError)
     with pytest.raises(FileNotFoundError):
         load_state(str(tmp_path / "missing.json"))
 
@@ -975,6 +975,54 @@ class TestExitCodes:
         path.write_text(text, encoding="utf-8")
         code, out, err = run_cli([command, "--input", str(path)], capsys)
         assert code == 1
+        assert one_error_line(out, err)
+
+
+PHASE_ERRORS = [TypeError("bad type"), ValueError("bad value"), FloatingPointError("overflow"),
+                RecursionError("too deep"), MemoryError("out of memory")]
+
+
+# the exit code is the phase's, whatever the exception: 1 while the input is
+# loaded, the command's own code (3 or 4) while it runs
+@pytest.mark.parametrize("exc", PHASE_ERRORS, ids=lambda exc: type(exc).__name__)
+@pytest.mark.parametrize("target,argv,want", [
+    ("state_from_json_dict", ["measure", "--input", "SINGLET"], 1),
+    ("decompose", ["decompose", "--input", "SINGLET"], 3),
+    ("evaluate", ["sweep", "--family", "rashid", "--param", "theta=0:1:3", "--outputs", "ec"], 4),
+], ids=["load", "run-state-command", "run-sweep"])
+def test_phase_decides_the_exit_code(target, argv, want, exc, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, target, fail)
+    argv = [singlet_file(tmp_path) if arg == "SINGLET" else arg for arg in argv]
+    path = tmp_path / "out.txt"
+    for output in ("-", str(path)):
+        code, out, err = run_cli(argv + ["--output", output], capsys)
+        assert code == want
+        assert out == "" and err == f"error: {exc}\n"
+    assert not path.exists()
+
+
+FAILURES = json.loads((Path(__file__).parent / "golden" / "failures.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", FAILURES, ids=[entry["id"] for entry in FAILURES])
+def test_failure_corpus(entry, tmp_path, monkeypatch, capsys):
+    # exit code and, where mpcorr writes the whole message, stderr bytes; the
+    # wording of json, argparse, numpy and OS messages varies across versions
+    monkeypatch.chdir(tmp_path)
+    if entry["input"] is not None:
+        (tmp_path / "state.json").write_text(entry["input"], encoding="utf-8")
+    code, out, err = run_cli(entry["argv"], capsys)
+    assert code == entry["code"]
+    assert out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ([] if entry["input"] is None else ["state.json"])
+    if entry["stderr"] is not None:
+        assert err == entry["stderr"]
+    elif code == 2:
+        assert list(json.loads(err)) == ["error", "residual"]
+    else:
         assert one_error_line(out, err)
 
 

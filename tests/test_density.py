@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from helpers import (SX, dm_of, kron_all, oracle_ptrace,
                      random_density_mat, random_pure_vec)
 
+import mpcorr as mc
 from mpcorr.density import (DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError,
                             StateValidationError, TraceNotOneError, from_pure, mix, partial_trace,
                             partial_transpose, pure_states, purity, state_from_json_dict,
@@ -365,3 +366,17 @@ def test_hypothesis_mixture_purity_in_unit_interval(raw_weights, seed):
     states = [from_pure(random_pure_vec(4, gen), (2, 2)) for _ in weights]
     rho = mix(weights, states)
     assert 0.25 - 1e-12 <= purity(rho) <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: HermitianOperator((2,), np.eye(2)),
+    lambda: mc.bell("phi+"),
+    lambda: mc.decompose(mc.bell("phi+")),
+    lambda: mc.correlation_spectrum(-np.eye(3)),
+    lambda: mc.project_exchange(mc.bell("phi+"), "symmetric"),
+], ids=["operator", "state", "decomposition", "correlation-spectrum", "exchange-projection"])
+def test_values_holding_arrays_compare_and_hash_by_identity(build):
+    # field-wise == would compare arrays, whose truth value is ambiguous, and hash them, which fails
+    a, b = build(), build()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
