@@ -18,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from golden.regen import HELP_COLUMNS, environment, run, sha256
 from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 
 from mpcorr import bloch, classify, cli, families, measures
@@ -1024,6 +1025,26 @@ def test_failure_corpus(entry, tmp_path, monkeypatch, capsys):
         assert list(json.loads(err)) == ["error", "residual"]
     else:
         assert one_error_line(out, err)
+
+
+OUTPUTS = json.loads((Path(__file__).parent / "golden" / "outputs.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", OUTPUTS["entries"], ids=[entry["id"] for entry in OUTPUTS["entries"]])
+def test_output_corpus(entry, tmp_path, monkeypatch):
+    # exit code and stderr everywhere; the stdout bytes of floats depend on
+    # numpy, its BLAS and the CPU, so they are compared where the corpus was
+    # recorded (tests/golden/regen.py rewrites it)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
+    code, out, err = run(entry["argv"], OUTPUTS["inputs"])
+    assert (code, err) == (entry["code"], entry["stderr"])
+    recorded, here = OUTPUTS["environment"], environment()
+    if here != recorded:
+        pytest.skip("stdout hashes not compared: recorded with "
+                    + ", ".join(f"{key} {recorded[key]}, here {here.get(key)}" for key in recorded
+                                if here.get(key) != recorded[key]))
+    assert sha256(out) == entry["stdout_sha256"]
 
 
 def test_report_keys_in_order(tmp_path, capsys):
