@@ -62,16 +62,13 @@ SWEEP_CHUNK = 1024                      # grid points per stack of states
 
 
 def load_state(path: str) -> DensityMatrix:
-    """Read a state JSON file; family-spec JSON is accepted too.  Whatever
-    reading, parsing or building the state raises passes through, for
+    """Read a state JSON file, or a family spec, whose fields only :func:`families.build_family` checks.
+    Whatever reading, parsing or building the state raises passes through, for
     :func:`main` to map to exit 1 (2 for a StateValidationError)."""
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
     if isinstance(obj, dict) and "family" in obj:
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f'family spec "params" must be an object, got {type(params).__name__}')
-        return build_family(obj["family"], params)
+        return build_family(obj["family"], obj.get("params", {}))
     return state_from_json_dict(obj)
 
 
@@ -176,14 +173,14 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
 
 
 def cmd_sweep(args) -> str:
-    family_row(args.family, sweep=True)         # name an unknown or unsweepable family before reading its grids
+    family_row(args.family, {}, sweep=True)     # name an unknown or unsweepable family before reading its grids
     grids = [_parse_grid(spec) for spec in args.param or []]
     if not grids:
         raise ValueError("sweep needs at least one --param grid")
     names = [name for name, _ in grids]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate parameter names in {names}")
-    family_row(args.family, names, sweep=True)
+    family_row(args.family, dict(grids), sweep=True)
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
     if not outputs:
         raise ValueError("sweep needs at least one output")

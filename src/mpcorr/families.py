@@ -10,7 +10,7 @@ DensityMatrix is complex.  An overflow, in an exponential or in the Bloch
 norms and weights of a mixture, raises FloatingPointError.
 """
 
-from math import sqrt
+from math import isfinite, sqrt
 from numbers import Real
 
 import numpy as np
@@ -38,9 +38,11 @@ def bell(which: str) -> DensityMatrix:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; numpy scalars pass, strings and booleans do not."""
+    """``value`` as a finite float: numpy scalars pass, strings, booleans, NaN and infinities do not."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not isfinite(value):
+        raise ValueError(f"{name} must be finite, got {float(value)}")
     return float(value)
 
 
@@ -67,9 +69,6 @@ def cc_mixture(terms) -> DensityMatrix:
     ``terms`` is a sequence of (weight, bloch_a, bloch_b) with positive
     weights summing to 1 and Bloch norms <= 1.
     """
-    terms = list(terms)
-    if not terms:
-        raise ValueError("mixture needs at least one term")
     weights = []
     products = []
     for k, (p, na, nb) in enumerate(terms):
@@ -111,7 +110,7 @@ def generalized_werner_states(p, theta=0.0) -> np.ndarray:
 def _whole(name: str, value) -> int:
     number = _real(name, value)
     if not number.is_integer():
-        raise ValueError(f"{name} must be a whole number, got {value!r}")
+        raise ValueError(f"{name} must be a whole number, got {number}")
     return int(number)
 
 
@@ -171,13 +170,16 @@ FAMILY_BUILDERS = {
 }
 
 
-def family_row(name: str, params=(), sweep: bool = False) -> tuple:
-    """A family's row, after checking its name, its stack function if ``sweep``, and ``params``."""
-    if name not in FAMILY_BUILDERS:
+def family_row(name: str, params, sweep: bool = False) -> tuple:
+    """A family's row, after checking its name, its stack function if ``sweep``, and that ``params`` is a
+    dict of its parameter names: with the builders' value readers, the one check of a family request."""
+    if not isinstance(name, str) or name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
     row = FAMILY_BUILDERS[name]
     if sweep and row[2] is None:
         raise ValueError(f"family {name!r} cannot be swept: its parameters are not numbers")
+    if not isinstance(params, dict):
+        raise ValueError(f"parameters of family {name!r} must be an object, got {type(params).__name__}")
     if unknown := set(params) - row[1]:
         raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(row[1])}")
     return row

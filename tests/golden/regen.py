@@ -50,7 +50,6 @@ FAMILIES = {
 STATE_COMMANDS = ("decompose", "measure", "classify")
 
 
-@cache
 def _openblas_core():
     """The kernel set an OpenBLAS bundled in numpy's wheel chose for this CPU,
     or None where numpy bundles none."""
@@ -64,6 +63,7 @@ def _openblas_core():
     return None
 
 
+@cache
 def environment() -> dict:
     """What the bytes of stdout depend on besides the code: the Python
     release (help texts), numpy, its BLAS and the OpenBLAS kernel set."""

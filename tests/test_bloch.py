@@ -84,6 +84,11 @@ class TestBipartite:
         with pytest.raises(ValueError, match=rf"parties \({i}, {j}\) must both be in 0\.\.1"):
             dec.pair(i, j)
 
+    def test_pair_of_one_party_rejected(self, rng):
+        dec = decompose(rand_state((2, 3), rng))
+        with pytest.raises(ValueError, match="two distinct parties"):
+            dec.pair(1, 1)
+
     def test_pair_missing_from_hand_built_decomposition_is_zero(self):
         # reconstruct counts a missing tensor as zero; pair reads it the same way
         z = np.zeros(3)

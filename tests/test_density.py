@@ -190,6 +190,11 @@ class TestMix:
         with pytest.raises(ValueError, match="sum"):
             mix([0.7, 0.4], [rho, rho])
 
+    def test_weight_count_must_match_states(self, rng):
+        rho = DensityMatrix((2,), random_density_mat(2, rng))
+        with pytest.raises(ValueError, match="2 weights for 1 states"):
+            mix([0.5, 0.5], [rho])
+
     def test_dims_mismatch_rejected(self, rng):
         a = DensityMatrix((2,), random_density_mat(2, rng))
         b = DensityMatrix((3,), random_density_mat(3, rng))

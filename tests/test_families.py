@@ -10,7 +10,7 @@ from mpcorr import families
 from mpcorr.bloch import decompose
 from mpcorr.classify import correlation_spectrum, ph_test
 from mpcorr.density import partial_transpose, validate
-from mpcorr.families import (BELL_VECTORS, FAMILY_BUILDERS, bell, cc_mixture,
+from mpcorr.families import (BELL_VECTORS, FAMILY_BUILDERS, bell, build_family, cc_mixture,
                              family_row, family_stacks, generalized_werner,
                              ghz, rashid, tripartite_qutrit_e3)
 from mpcorr.measures import e_c_bipartite, e_d
@@ -266,7 +266,19 @@ class TestFamilyTable:
     def test_non_numeric_families_have_no_stack_function(self, name):
         assert FAMILY_BUILDERS[name][2] is None
         with pytest.raises(ValueError, match=f"{name!r} cannot be swept"):
-            family_row(name, sweep=True)
+            family_row(name, {}, sweep=True)
+
+    @pytest.mark.parametrize("name", [["bell"], {"a": 1}, None, 3])
+    def test_name_that_is_not_a_string_is_unknown(self, name):
+        with pytest.raises(ValueError, match="unknown family"):
+            build_family(name, {})
+
+    @pytest.mark.parametrize("params", ["psi-", ["which"], [("which", "psi-")], None])
+    def test_parameters_must_be_a_dict(self, params):
+        with pytest.raises(ValueError, match=f"^parameters of family 'bell' must be an object, got {type(params).__name__}$"):
+            build_family("bell", params)
+        with pytest.raises(ValueError, match="must be an object"):
+            family_stacks("rashid", params)
 
     def test_table_is_the_one_the_cli_and_bench_read(self):
         # bench/run.py replays cli.FAMILY_BUILDERS[family][0] by name from families
@@ -296,6 +308,27 @@ class TestRealParameters:
     def test_strings_and_booleans_rejected(self, builder, args):
         with pytest.raises(ValueError, match="must be a real number"):
             builder(*args)
+
+    # NaN would otherwise reach the amplitudes or the mixture weights, which
+    # name no parameter
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("inf"),
+                                       np.float64("-inf")], ids=lambda value: f"{type(value).__name__}-{value}")
+    @pytest.mark.parametrize("build", [
+        lambda x: rashid(x),
+        lambda x: generalized_werner(x, 0.0),
+        lambda x: generalized_werner(0.5, x),
+        lambda x: ghz(x, 2),
+        lambda x: ghz(3, x),
+        lambda x: tripartite_qutrit_e3(x, 0.0),
+        lambda x: tripartite_qutrit_e3(0.0, x),
+        lambda x: cc_mixture([(x, [0, 0, 1], [0, 0, 1])]),
+        lambda x: cc_mixture([(1.0, [0, x, 0], [0, 0, 1])]),
+        lambda x: cc_mixture([(1.0, [0, 0, 1], [0, 0, x])]),
+    ], ids=["rashid-theta", "werner-p", "werner-theta", "ghz-parties", "ghz-level", "qutrit-theta1",
+            "qutrit-theta2", "cc-weight", "cc-bloch-a", "cc-bloch-b"])
+    def test_non_finite_rejected(self, build, value):
+        with pytest.raises(ValueError, match=f"must be finite, got {float(value)}$"):
+            build(value)
 
     def test_numpy_scalars_accepted(self):
         assert np.array_equal(rashid(np.float64(0.5)).matrix, rashid(0.5).matrix)
