@@ -59,6 +59,7 @@ EXIT_UNSUPPORTED_SHAPE = 3
 EXIT_BAD_SPEC = 4
 
 SWEEP_CHUNK = 1024                      # grid points per stack of states
+_GRID_USAGE = "--param expects name=start:stop:count"
 
 
 def load_state(path: str) -> DensityMatrix:
@@ -124,47 +125,51 @@ def _cmd_state(args) -> str:
     return _dump_json(args.report(args.state))
 
 
-def _parse_set(pairs) -> dict:
-    params = {}
-    for item in pairs or []:
-        if "=" not in item:
-            raise ValueError(f"--set expects name=value, got {item!r}")
-        key, raw = item.split("=", 1)
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
+def _named(items, usage: str, read) -> dict:
+    """{NAME: read(value, item)} of ``--set`` or ``--param`` items; refuses an item without '=' and a repeated NAME."""
+    pairs = []
+    for item in items or []:
+        name, eq, value = item.partition("=")
+        if not eq:
+            raise ValueError(f"{usage}, got {item!r}")
+        pairs.append((name, read(value, item)))
+    if len(dict(pairs)) != len(pairs):
+        raise ValueError(f"duplicate parameter names in {[name for name, _ in pairs]}")
+    return dict(pairs)
+
+
+def _json_or_text(value: str, _item: str):
+    try:
+        return json.loads(value)
+    except json.JSONDecodeError:
+        return value
 
 
 def cmd_family(args) -> str:
-    return _dump_json(state_to_json_dict(build_family(args.family, _parse_set(args.set))))
+    params = _named(args.set, "--set expects name=value", _json_or_text)
+    return _dump_json(state_to_json_dict(build_family(args.family, params)))
 
 
-def _parse_grid(spec: str) -> tuple[str, np.ndarray]:
-    if "=" not in spec:
-        raise ValueError(f"--param expects name=start:stop:count, got {spec!r}")
-    name, rest = spec.split("=", 1)
-    parts = rest.split(":")
+def _grid(value: str, item: str) -> np.ndarray:
+    parts = value.split(":")
     if len(parts) != 3:
-        raise ValueError(f"--param expects name=start:stop:count, got {spec!r}")
-    start, stop = float(parts[0]), float(parts[1])
+        raise ValueError(f"{_GRID_USAGE}, got {item!r}")
+    start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not (np.isfinite(start) and np.isfinite(stop)):
-        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
-    count = int(parts[2])
+        raise ValueError(f"grid start and stop must be finite, got {item!r}")
     if count < 1:
         raise ValueError(f"grid count must be >= 1, got {count}")
-    return name, np.linspace(start, stop, count)
+    return np.linspace(start, stop, count)
 
 
-def _sweep_rows(family: str, grids, outputs) -> list[str]:
+def _sweep_rows(family: str, grids: dict, outputs) -> list[str]:
     """CSV rows of the grid in row-major order, SWEEP_CHUNK points at a time."""
-    points = product(*[vals for _, vals in grids])
+    points = product(*grids.values())
     rows = []
-    for _ in range(0, prod(len(vals) for _, vals in grids), SWEEP_CHUNK):
+    for _ in range(0, prod(map(len, grids.values())), SWEEP_CHUNK):
         chunk = np.array(list(islice(points, SWEEP_CHUNK)))
         cells = np.empty((len(chunk), len(outputs)), dtype=object)
-        for idx, dims, mats in family_stacks(family, {name: chunk[:, k] for k, (name, _) in enumerate(grids)}):
+        for idx, dims, mats in family_stacks(family, dict(zip(grids, chunk.T))):
             for j, values in enumerate(evaluate(Context(dims, mats), outputs).values()):
                 cells[idx, j] = np.asarray(values).tolist()
         # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
@@ -173,23 +178,16 @@ def _sweep_rows(family: str, grids, outputs) -> list[str]:
 
 
 def cmd_sweep(args) -> str:
-    family_row(args.family, {}, sweep=True)     # name an unknown or unsweepable family before reading its grids
-    grids = [_parse_grid(spec) for spec in args.param or []]
+    grids = _named(args.param, _GRID_USAGE, _grid)
+    family_row(args.family, grids, sweep=True)
     if not grids:
         raise ValueError("sweep needs at least one --param grid")
-    names = [name for name, _ in grids]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate parameter names in {names}")
-    family_row(args.family, dict(grids), sweep=True)
     outputs = [o.strip() for o in args.outputs.split(",") if o.strip()]
     if not outputs:
         raise ValueError("sweep needs at least one output")
     if len(set(outputs)) != len(outputs):
         raise ValueError(f"duplicate output names in {outputs}")
-    for o in outputs:
-        if o not in COLUMNS:
-            raise ValueError(f"unknown output {o!r}; known: {tuple(COLUMNS)}")
-    return "\n".join([",".join(names + outputs)] + _sweep_rows(args.family, grids, outputs)) + "\n"
+    return "\n".join([",".join([*grids, *outputs])] + _sweep_rows(args.family, grids, outputs)) + "\n"
 
 
 class _Parser(argparse.ArgumentParser):

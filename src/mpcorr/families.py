@@ -10,6 +10,8 @@ DensityMatrix is complex.  An overflow, in an exponential or in the Bloch
 norms and weights of a mixture, raises FloatingPointError.
 """
 
+from functools import cache
+from inspect import signature
 from math import isfinite, sqrt
 from numbers import Real
 
@@ -61,18 +63,25 @@ def rashid_states(theta) -> np.ndarray:
         return pure_states(np.stack([np.exp(-theta) / norm, zero, zero, np.exp(theta) / norm], axis=-1))
 
 
+def _list(name: str, value, length: int | None = None) -> list:
+    if not (isinstance(value, (list, tuple)) or getattr(value, "ndim", 0) == 1) or length not in (None, len(value)):
+        raise ValueError(f"{name} must be a list{f' of {length}' if length else ''}, got {value!r}")
+    return list(value)
+
+
 @np.errstate(over="raise")
 def cc_mixture(terms) -> DensityMatrix:
     """Classically correlated two-qubit state sum_k p_k rho_A,k x rho_B,k,
     each factor given by its Bloch vector.
 
-    ``terms`` is a sequence of (weight, bloch_a, bloch_b) with positive
-    weights summing to 1 and Bloch norms <= 1.
+    ``terms`` is a list of [weight, bloch_a, bloch_b] with positive
+    weights summing to 1 and Bloch vectors of three components and norm <= 1.
     """
-    weights = []
-    products = []
-    for k, (p, na, nb) in enumerate(terms):
-        na, nb = (np.array([_real(f"term {k}: Bloch component", c) for c in n]).reshape(3) for n in (na, nb))
+    weights, products = [], []
+    for k, term in enumerate(_list("terms", terms)):
+        p, na, nb = _list(f"term {k} (weight, Bloch vector A, Bloch vector B)", term, 3)
+        na, nb = (np.array([_real(f"term {k}: Bloch component", c) for c in _list(f"term {k}: Bloch vector {t}", n, 3)])
+                  for t, n in (("A", na), ("B", nb)))
         for tag, n in (("A", na), ("B", nb)):
             if not np.linalg.norm(n) <= 1.0 + 1e-12:
                 raise ValueError(f"term {k}: Bloch vector {tag} has norm {np.linalg.norm(n):.6f} > 1")
@@ -94,7 +103,7 @@ def generalized_werner(p: float, theta: float = 0.0) -> DensityMatrix:
     return DensityMatrix((2, 2), generalized_werner_states([_real("p", p)], [_real("theta", theta)])[0])
 
 
-def generalized_werner_states(p, theta=0.0) -> np.ndarray:
+def generalized_werner_states(p, theta) -> np.ndarray:
     """:func:`generalized_werner` over arrays of p and theta."""
     p, theta = np.broadcast_arrays(np.asarray(p, dtype=float), np.asarray(theta, dtype=float))
     outside = ~((0.0 <= p) & (p <= 1.0))
@@ -128,7 +137,7 @@ def ghz(parties: int = 3, level: int = 2) -> DensityMatrix:
 def _ghz_groups(**params):
     """:func:`ghz` over arrays of parameters, one group per distinct point."""
     groups: dict[tuple, list[int]] = {}
-    for i, point in enumerate(zip(*params.values())):
+    for i, point in enumerate(zip(*np.broadcast_arrays(*params.values()))):
         groups.setdefault(point, []).append(i)
     states = [(idx, ghz(**dict(zip(params, point)))) for point, idx in groups.items()]
     # GHZ amplitudes are real, so each group repeats a real matrix
@@ -156,47 +165,45 @@ def _one_group(states, dims):
     return lambda **params: [(slice(None), dims, states(**params))]
 
 
-# name -> (scalar builder, parameter names, stack function): a function from
-# one array per parameter to the (indices, dims, (B, d, d) stack) groups of the
-# points, or None where the parameters are not numbers, so no grid sweeps them.
+_signature = cache(signature)           # a builder's signature, read once and not once per command
+# name -> (scalar builder, stack function).  The builder's signature declares the family's parameters
+# and their defaults; the stack function maps one array per parameter to the (indices, dims, (B, d, d)
+# stack) groups of the points, or is None where the parameters are not numbers, so no grid sweeps them.
 FAMILY_BUILDERS = {
-    "bell": (bell, {"which"}, None),
-    "rashid": (rashid, {"theta"}, _one_group(rashid_states, (2, 2))),
-    "cc-mixture": (cc_mixture, {"terms"}, None),
-    "generalized-werner": (generalized_werner, {"p", "theta"}, _one_group(generalized_werner_states, (2, 2))),
-    "ghz": (ghz, {"parties", "level"}, _ghz_groups),
-    "tripartite-qutrit-e3": (tripartite_qutrit_e3, {"theta1", "theta2"},
-                             _one_group(tripartite_qutrit_e3_states, (3, 3, 3))),
+    "bell": (bell, None),
+    "rashid": (rashid, _one_group(rashid_states, (2, 2))),
+    "cc-mixture": (cc_mixture, None),
+    "generalized-werner": (generalized_werner, _one_group(generalized_werner_states, (2, 2))),
+    "ghz": (ghz, _ghz_groups),
+    "tripartite-qutrit-e3": (tripartite_qutrit_e3, _one_group(tripartite_qutrit_e3_states, (3, 3, 3))),
 }
 
 
 def family_row(name: str, params, sweep: bool = False) -> tuple:
-    """A family's row, after checking its name, its stack function if ``sweep``, and that ``params`` is a
-    dict of its parameter names: with the builders' value readers, the one check of a family request."""
+    """A family's row, after checking its name, its stack function if ``sweep``, and that ``params`` is a dict
+    of its builder's parameters with every one that has no default: with the value readers, the one check."""
     if not isinstance(name, str) or name not in FAMILY_BUILDERS:
         raise ValueError(f"unknown family {name!r}; known: {sorted(FAMILY_BUILDERS)}")
     row = FAMILY_BUILDERS[name]
-    if sweep and row[2] is None:
+    if sweep and row[1] is None:
         raise ValueError(f"family {name!r} cannot be swept: its parameters are not numbers")
     if not isinstance(params, dict):
         raise ValueError(f"parameters of family {name!r} must be an object, got {type(params).__name__}")
-    if unknown := set(params) - row[1]:
-        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(row[1])}")
+    declared = _signature(row[0]).parameters
+    if unknown := params.keys() - declared:
+        raise ValueError(f"unknown parameter(s) {sorted(unknown)} for family {name!r}; allowed: {sorted(declared)}")
+    if missing := {key for key, p in declared.items() if p.default is p.empty} - params.keys():
+        raise ValueError(f"missing parameter(s) {sorted(missing)} for family {name!r}")
     return row
-
-
-def _call(name: str, function, params: dict):
-    try:
-        return function(**params)
-    except (TypeError, ArithmeticError) as exc:
-        raise ValueError(f"bad parameters for family {name!r}: {exc}") from exc
 
 
 def build_family(name: str, params: dict) -> DensityMatrix:
     """A family's state at one point, from its scalar builder."""
-    return _call(name, family_row(name, params)[0], params)
+    return family_row(name, params)[0](**params)
 
 
 def family_stacks(name: str, params: dict) -> list:
-    """(indices, dims, (B, d, d) stack) groups of a family's states at ``params``, one array each."""
-    return _call(name, family_row(name, params, sweep=True)[2], params)
+    """(indices, dims, (B, d, d) stack) groups of a family's states at ``params`` and the builder's defaults."""
+    builder, stacks = family_row(name, params, sweep=True)
+    defaults = {key: p.default for key, p in _signature(builder).parameters.items() if p.default is not p.empty}
+    return stacks(**{**defaults, **params})

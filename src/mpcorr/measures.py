@@ -123,7 +123,9 @@ def _sector_norm(parties: int, weight):
 
 def require_column(name: str, dims: tuple[int, ...]):
     """The column function of row ``name`` of :data:`COLUMNS`; ValueError
-    unless the row's test holds for ``dims``."""
+    for a name with no row, or unless the row's test holds for ``dims``."""
+    if name not in COLUMNS:
+        raise ValueError(f"unknown output {name!r}; known: {tuple(COLUMNS)}")
     needs, applies, column = COLUMNS[name]
     if not applies(dims):
         raise ValueError(f"{name} output needs {needs}, got dims {dims}")

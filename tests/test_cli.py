@@ -2,7 +2,6 @@ import ctypes
 import io
 import json
 import math
-import os
 import platform
 import re
 import subprocess
@@ -333,21 +332,14 @@ class TestSweep:
         assert all(float(x) == pytest.approx(1.0, abs=1e-10) for x in middle[1:])
         assert "nan" not in out.read_text()
 
-    def test_byte_identical_reruns_and_thread_counts(self, tmp_path, capsys):
+    def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["sweep", "--family", "generalized-werner",
                 "--param", "p=0:1:11", "--param", "theta=-1:1:9",
                 "--outputs", "ec,ph"]
         outputs = []
-        for threads in (None, "1", "4"):
-            out = tmp_path / f"t{threads}.csv"
-            if threads is None:
-                os.environ.pop("MPCORR_THREADS", None)
-            else:
-                os.environ["MPCORR_THREADS"] = threads
-            try:
-                code, _, _ = run_cli(args + ["--output", str(out)], capsys)
-            finally:
-                os.environ.pop("MPCORR_THREADS", None)
+        for run in range(3):
+            out = tmp_path / f"run{run}.csv"
+            code, _, _ = run_cli(args + ["--output", str(out)], capsys)
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
@@ -695,7 +687,7 @@ def test_real_family_sweeps_match_complex_stacks(family, monkeypatch, capsys):
     """The real families build real stacks, and each of their grids gives
     the same CSV bytes, with every output that applies to it, as the complex
     copies of those stacks.  The pure-only outputs apply to pure grids."""
-    stacks = FAMILY_BUILDERS[family][2]
+    stacks = FAMILY_BUILDERS[family][1]
     for grid in REAL_FAMILY_SWEEPS[family]:
         points = np.array(list(product(*(np.linspace(*spec) for spec in grid.values()))))
         groups = stacks(**dict(zip(grid, points.T)))
@@ -708,7 +700,7 @@ def test_real_family_sweeps_match_complex_stacks(family, monkeypatch, capsys):
         code, real_csv, err = run_cli(argv, capsys)
         assert code == 0 and err == ""
         with monkeypatch.context() as patch:
-            patch.setitem(FAMILY_BUILDERS, family, FAMILY_BUILDERS[family][:2] + (
+            patch.setitem(FAMILY_BUILDERS, family, FAMILY_BUILDERS[family][:1] + (
                 lambda **params: [(idx, dims, mats.astype(complex)) for idx, dims, mats in stacks(**params)],))
             assert run_cli(argv, capsys) == (0, real_csv, "")
 

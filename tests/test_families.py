@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -124,6 +125,24 @@ class TestCCMixture:
         with pytest.raises(ValueError, match="sum"):
             cc_mixture([(0.7, [0, 0, 1], [0, 0, 1]), (0.7, [0, 0, -1], [0, 0, -1])])
 
+    # used to raise "not enough values to unpack" or a reshape error, naming no term
+    @pytest.mark.parametrize("terms,message", [
+        (5, "terms must be a list, got 5"),
+        ({"w": 1}, "terms must be a list, got {'w': 1}"),
+        ([(1.0, [0, 0, 1])], "term 0 (weight, Bloch vector A, Bloch vector B) must be a list of 3, got (1.0, [0, 0, 1])"),
+        ([(1.0, [0, 0, 1], [0, 0, 1], 0.0)], "term 0 (weight, Bloch vector A, Bloch vector B) must be a list of 3, "
+                                             "got (1.0, [0, 0, 1], [0, 0, 1], 0.0)"),
+        ([(0.5, [0, 0, 1], [0, 0, 1]), 0.5], "term 1 (weight, Bloch vector A, Bloch vector B) must be a list of 3, got 0.5"),
+        ([(1.0, [0, 0], [0, 0, 1])], "term 0: Bloch vector A must be a list of 3, got [0, 0]"),
+        ([(1.0, [0, 0, 1], np.zeros(4))], "term 0: Bloch vector B must be a list of 3, got array([0., 0., 0., 0.])"),
+        ([(1.0, [0, 0, 1], "xyz")], "term 0: Bloch vector B must be a list of 3, got 'xyz'"),
+    ], ids=["number", "object", "two-item-term", "four-item-term", "number-term", "two-component-a",
+            "four-component-b", "string-b"])
+    def test_malformed_terms_named(self, terms, message):
+        with pytest.raises(ValueError) as info:
+            cc_mixture(terms)
+        assert str(info.value) == message
+
 
 class TestGeneralizedWerner:
     def test_closed_forms_on_grid(self):
@@ -241,7 +260,7 @@ STACK_POINTS = {
 
 class TestFamilyTable:
     def test_every_numeric_family_has_points(self):
-        assert set(STACK_POINTS) == {name for name, row in FAMILY_BUILDERS.items() if row[2] is not None}
+        assert set(STACK_POINTS) == {name for name, row in FAMILY_BUILDERS.items() if row[1] is not None}
 
     @pytest.mark.parametrize("name", sorted(STACK_POINTS))
     def test_stacks_equal_scalar_builder_bit_for_bit(self, name):
@@ -264,7 +283,7 @@ class TestFamilyTable:
 
     @pytest.mark.parametrize("name", ["bell", "cc-mixture"])
     def test_non_numeric_families_have_no_stack_function(self, name):
-        assert FAMILY_BUILDERS[name][2] is None
+        assert FAMILY_BUILDERS[name][1] is None
         with pytest.raises(ValueError, match=f"{name!r} cannot be swept"):
             family_row(name, {}, sweep=True)
 
@@ -283,8 +302,42 @@ class TestFamilyTable:
     def test_table_is_the_one_the_cli_and_bench_read(self):
         # bench/run.py replays cli.FAMILY_BUILDERS[family][0] by name from families
         assert mpcorr.cli.FAMILY_BUILDERS is FAMILY_BUILDERS
-        for builder, _, _ in FAMILY_BUILDERS.values():
+        for name in FAMILY_BUILDERS:
+            builder = FAMILY_BUILDERS[name][0]
             assert getattr(families, builder.__name__) is builder
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_BUILDERS))
+    def test_allowed_parameters_are_the_builder_signature(self, name):
+        with pytest.raises(ValueError, match="^unknown parameter") as info:
+            build_family(name, {"nope": 1})
+        assert str(info.value).endswith(f"; allowed: {sorted(inspect.signature(FAMILY_BUILDERS[name][0]).parameters)}")
+
+    # used to name the builder: "generalized_werner() missing 1 required positional argument: 'p'"
+    @pytest.mark.parametrize("name,params,missing", [
+        ("bell", {}, ["which"]),
+        ("cc-mixture", {}, ["terms"]),
+        ("rashid", {}, ["theta"]),
+        ("generalized-werner", {"theta": 0.3}, ["p"]),
+        ("tripartite-qutrit-e3", {}, ["theta1", "theta2"]),
+        ("tripartite-qutrit-e3", {"theta1": 0.3}, ["theta2"]),
+    ])
+    def test_missing_parameter_named_with_its_family(self, name, params, missing):
+        message = f"missing parameter(s) {missing} for family {name!r}"
+        with pytest.raises(ValueError) as info:
+            build_family(name, params)
+        assert str(info.value) == message
+        if FAMILY_BUILDERS[name][1] is not None:
+            with pytest.raises(ValueError) as info:
+                family_stacks(name, {key: np.full(2, value) for key, value in params.items()})
+            assert str(info.value) == message
+
+    def test_stacks_take_the_builder_defaults(self):
+        p = np.linspace(0, 1, 3)
+        [(_, _, werner)] = family_stacks("generalized-werner", {"p": p})
+        [(_, _, tilted)] = family_stacks("generalized-werner", {"p": p, "theta": np.zeros(3)})
+        assert np.array_equal(werner, tilted)
+        groups = family_stacks("ghz", {"parties": np.array([2.0, 3.0])})
+        assert [(idx, dims) for idx, dims, _ in groups] == [([0], (2, 2)), ([1], (2, 2, 2))]
 
 
 class TestRealParameters:

@@ -8,9 +8,9 @@ from helpers import kron_all, random_density_mat, random_pure_vec, random_unitar
 from mpcorr.bloch import decompose
 from mpcorr.density import DensityMatrix, from_pure, tensor
 from mpcorr.families import bell, generalized_werner, ghz, rashid, tripartite_qutrit_e3
-from mpcorr.measures import (MeasureSet, MixedStateError, concurrence_pure, e_c_bipartite,
-                             e_c_multipartite, e_d, e_e, entanglement_entropy,
-                             measure_set)
+from mpcorr.measures import (COLUMNS, Context, MeasureSet, MixedStateError, concurrence_pure, e_c_bipartite,
+                             e_c_multipartite, e_d, e_e, entanglement_entropy, evaluate,
+                             measure_set, require_column)
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
@@ -333,3 +333,14 @@ def test_e_c_bipartite_rejects_one_level_party():
     # used to raise ZeroDivisionError in the pair weight 1 / (4 (n^2 - 1))
     with pytest.raises(ValueError, match=">= 2"):
         e_c_bipartite(np.zeros((0, 3)), (1, 2))
+
+
+def test_unknown_row_name_is_a_value_error():
+    # used to raise a bare KeyError; the sweep's --outputs relies on this message
+    message = f"unknown output 'nope'; known: {tuple(COLUMNS)}"
+    with pytest.raises(ValueError) as info:
+        require_column("nope", (2, 2))
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        evaluate(Context((2, 2), np.eye(4)[None] / 4), ["ec", "nope"])
+    assert str(info.value) == message
