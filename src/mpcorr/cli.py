@@ -20,15 +20,15 @@ traceback, and writes no output file.
 The families, their parameters and their states come from the one table in
 :mod:`families`, and the sweep outputs are the rows of the one table of
 quantities, :data:`measures.COLUMNS`; this module names neither.  Output is
-deterministic: floats are serialized as Python's shortest round-trip
-decimals, CSV uses comma separators and LF line endings, and sweep rows
-follow the declared parameter-grid order.  A sweep evaluates its grid in one
-thread, as stacks of at most SWEEP_CHUNK states from
-:func:`families.family_stacks`; each cell depends on its own point only, so
-the bytes do not depend on how the grid is split into chunks or into
-commands.  The sweepable families build real stacks, for which the moment
-map skips the products of the imaginary part; a cell has the bytes of the
-same state given as a complex stack.
+deterministic: floats are serialized as Python's shortest round-trip decimals,
+CSV uses comma separators and LF line endings, and sweep rows follow the
+declared parameter-grid order.  A sweep evaluates its grid in one thread, as
+stacks of at most SWEEP_CHUNK states from :func:`families.family_stacks`; a
+point is its flat index into the grid, and each grid value is formatted once
+per sweep.  Each cell depends on its own point only, so the bytes do not depend
+on how the grid is split into chunks or into commands.  The sweepable families
+build real stacks, for which the moment map skips the products of the imaginary
+part; a cell has the bytes of the same state given as a complex stack.
 
 On glibc, a process that has run :func:`main` keeps up to 64 MiB of freed
 memory for reuse, so the next chunk or command does not fault a freed stack's
@@ -41,7 +41,6 @@ import json
 import sys
 from dataclasses import asdict
 from functools import cache
-from itertools import islice, product
 from math import prod
 
 import numpy as np
@@ -163,17 +162,18 @@ def _grid(value: str, item: str) -> np.ndarray:
 
 
 def _sweep_rows(family: str, grids: dict, outputs) -> list[str]:
-    """CSV rows of the grid in row-major order, SWEEP_CHUNK points at a time."""
-    points = product(*grids.values())
+    """CSV rows of the grid in row-major order, SWEEP_CHUNK flat indices at a time."""
+    shape, size = tuple(map(len, grids.values())), prod(map(len, grids.values()))
+    # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
+    texts = [np.array(list(map(repr, grid.tolist())), dtype=object) for grid in grids.values()]
     rows = []
-    for _ in range(0, prod(map(len, grids.values())), SWEEP_CHUNK):
-        chunk = np.array(list(islice(points, SWEEP_CHUNK)))
-        cells = np.empty((len(chunk), len(outputs)), dtype=object)
-        for idx, dims, mats in family_stacks(family, dict(zip(grids, chunk.T))):
-            for j, values in enumerate(evaluate(Context(dims, mats), outputs).values()):
-                cells[idx, j] = np.asarray(values).tolist()
-        # tolist() gives Python ints and floats, whose repr is the shortest round-trip decimal
-        rows += [",".join(map(repr, point + row)) for point, row in zip(chunk.tolist(), cells.tolist())]
+    for start in range(0, size, SWEEP_CHUNK):
+        index = np.unravel_index(np.arange(start, min(start + SWEEP_CHUNK, size)), shape)
+        columns = [np.empty(len(index[0]), dtype=object) for _ in outputs]
+        for idx, dims, mats in family_stacks(family, {name: grid[i] for (name, grid), i in zip(grids.items(), index)}):
+            for column, values in zip(columns, evaluate(Context(dims, mats), outputs).values()):
+                column[idx] = list(map(repr, np.asarray(values).tolist()))
+        rows += map(",".join, zip(*(text[i] for text, i in zip(texts, index)), *columns))
     return rows
 
 

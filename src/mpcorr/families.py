@@ -206,4 +206,4 @@ def family_stacks(name: str, params: dict) -> list:
     """(indices, dims, (B, d, d) stack) groups of a family's states at ``params`` and the builder's defaults."""
     builder, stacks = family_row(name, params, sweep=True)
     defaults = {key: p.default for key, p in _signature(builder).parameters.items() if p.default is not p.empty}
-    return stacks(**{**defaults, **params})
+    return stacks(**{key: np.atleast_1d(value) for key, value in {**defaults, **params}.items()})

@@ -616,26 +616,34 @@ class TestHeapPolicy:
 class TestBatchedSweep:
     WERNER = ["--family", "generalized-werner", "--outputs", "ec,nsv,ph,xi,nanb"]
 
+    # (family and outputs, row axis (name, start, stop, count), other grids, chunk sizes); ghz groups
+    # interleave dims within a chunk, so its cells are scattered group by group across chunk boundaries
+    SPLITS = [
+        (WERNER, ("p", 0, 1, 11), ["theta=-2:2:13"], (1, 7)),
+        (["--family", "ghz", "--outputs", "ec"], ("parties", 2, 4, 3), ["level=2:3:2"], (1, 4)),
+    ]
+
     def test_grid_splits_are_byte_identical(self, tmp_path, capsys, monkeypatch):
         import mpcorr.cli as cli
-        whole = []
-        for chunk in (1, 7, cli.SWEEP_CHUNK):
-            monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
-            out = tmp_path / f"chunk{chunk}.csv"
-            code, _, _ = run_cli(["sweep", *self.WERNER, "--param", "p=0:1:11",
-                                  "--param", "theta=-2:2:13", "--output", str(out)], capsys)
+
+        def sweep(args, grids):
+            out = tmp_path / "out.csv"
+            code, _, _ = run_cli(["sweep", *args, *(arg for grid in grids for arg in ("--param", grid)),
+                                  "--output", str(out)], capsys)
             assert code == 0
-            whole.append(out.read_bytes())
-        assert whole[0] == whole[1] == whole[2]
-        monkeypatch.undo()
-        rows = [whole[0].split(b"\n", 1)[0] + b"\n"]
-        for i, p in enumerate(np.linspace(0, 1, 11).tolist()):
-            out = tmp_path / f"row{i}.csv"
-            code, _, _ = run_cli(["sweep", *self.WERNER, "--param", f"p={p!r}:{p!r}:1",
-                                  "--param", "theta=-2:2:13", "--output", str(out)], capsys)
-            assert code == 0
-            rows.append(out.read_bytes().split(b"\n", 1)[1])
-        assert b"".join(rows) == whole[0]
+            return out.read_bytes()
+
+        for args, (name, start, stop, count), rest, chunks in self.SPLITS:
+            whole = []
+            for chunk in (*chunks, cli.SWEEP_CHUNK):
+                monkeypatch.setattr(cli, "SWEEP_CHUNK", chunk)
+                whole.append(sweep(args, [f"{name}={start}:{stop}:{count}", *rest]))
+            monkeypatch.undo()
+            assert whole[0] == whole[1] == whole[2]
+            rows = [whole[0].split(b"\n", 1)[0] + b"\n"]
+            for value in np.linspace(start, stop, count).tolist():
+                rows.append(sweep(args, [f"{name}={value!r}:{value!r}:1", *rest]).split(b"\n", 1)[1])
+            assert b"".join(rows) == whole[0]
 
     @pytest.mark.parametrize("family,grid", [
         ("rashid", ["theta=0:1000:3"]),

@@ -339,6 +339,14 @@ class TestFamilyTable:
         groups = family_stacks("ghz", {"parties": np.array([2.0, 3.0])})
         assert [(idx, dims) for idx, dims, _ in groups] == [([0], (2, 2)), ([1], (2, 2, 2))]
 
+    # used to raise numpy's AxisError and "iteration over a 0-d array", naming no parameter
+    @pytest.mark.parametrize("name,params,rho", [("rashid", {"theta": 0.5}, rashid(0.5)), ("ghz", {}, ghz())],
+                             ids=["scalar", "defaults-only"])
+    def test_scalar_parameters_are_a_grid_of_one_point(self, name, params, rho):
+        [(_, dims, mats)] = family_stacks(name, params)
+        assert dims == rho.dims
+        assert mats.shape == (1, *rho.matrix.shape) and np.array_equal(mats[0], rho.matrix.real)
+
 
 class TestRealParameters:
     # float() reads the JSON string "0.5" as 0.5 and true as 1, so only real
