@@ -51,9 +51,9 @@ class PHVerdict:
 @dataclass(frozen=True)
 class PHInvariants:
     """The invariant parameters entering the explicit two-qubit PH condition:
-    xi = Tr C - (n_A . C . n_B)/(n_A . n_B), together with the two scalar
-    products themselves.  (Tr C is the signed-eigenvalue sum of C; the signed
-    reading is the one that closes the generalized-Werner identity.)"""
+    xi = Tr C - (n_A . C . n_B)/(n_A . n_B) and the two scalar products.  Tr C is
+    C's signed-eigenvalue sum, the reading that closes the generalized-Werner
+    identity.  All three are invariant under U x U, not under local U_A x U_B."""
 
     xi: float
     na_dot_nb: float

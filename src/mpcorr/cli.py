@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated list from {', '.join(COLUMNS)}")
     p.set_defaults(func=cmd_sweep, failure_code=EXIT_BAD_SPEC)
 
-    output_help = {"family": None, "sweep": "CSV path (default stdout)"}
+    output_help = {"family": "state JSON path (default stdout)", "sweep": "CSV path (default stdout)"}
     for name, p in sub.choices.items():     # last, where each command's help lists it
         p.add_argument("--output", default="-", help=output_help.get(name, "report JSON path (default stdout)"))
     return parser

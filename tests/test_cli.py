@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from golden.regen import HELP_COLUMNS, environment, run, sha256
+from golden.regen import HELP_COLUMNS, environment, run
 from helpers import GELL_MANN, PAULI, oracle_cumulant, random_density_mat
 
 from mpcorr import bloch, classify, cli, families, measures
@@ -105,17 +105,6 @@ class TestDecompose:
         assert (code, out) == (2, "")
         assert json.loads(err) == {"error": "NotHermitian", "residual": 1.1e-12}
 
-    def test_single_party_exit_3(self, tmp_path, capsys):
-        # the library decomposes one party; the report format has no place for it
-        path = write_json(tmp_path / "one.json", {
-            "dims": [2], "matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]]})
-        out = tmp_path / "report.json"
-        code, stdout, err = run_cli(["decompose", "--input", path, "--output", str(out)], capsys)
-        assert code == 3
-        assert one_error_line(stdout, err)
-        assert "covers two or more parties" in err
-        assert not out.exists()
-
     def test_mixed_dimension_triple_matches_oracle(self, tmp_path, capsys, rng):
         mat = random_density_mat(12, rng)
         path = write_json(tmp_path / "223.json", {
@@ -124,16 +113,6 @@ class TestDecompose:
         assert code == 0
         want = oracle_cumulant(mat, (2, 2, 3), [PAULI, PAULI, GELL_MANN])
         assert np.abs(np.array(json.loads(out)["triple_correlations"]["0-1-2"]) - want).max() < 1e-12
-
-    def test_five_parties_exit_3(self, tmp_path, capsys):
-        # the report has no key for the 4-party sectors of a 5-party state
-        path = write_json(tmp_path / "ghz5.json", {"dims": [2] * 5, "pure": [[1, 0]] + [[0, 0]] * 30 + [[1, 0]]})
-        out = tmp_path / "report.json"
-        code, stdout, err = run_cli(["decompose", "--input", path, "--output", str(out)], capsys)
-        assert code == 3
-        assert one_error_line(stdout, err)
-        assert "at most four parties" in err
-        assert not out.exists()
 
     def test_family_spec_accepted_as_input(self, tmp_path, capsys):
         path = write_json(tmp_path / "fam.json",
@@ -410,18 +389,6 @@ class TestSweep:
         code, _, _ = run_cli(["sweep", "--family", "rashid", "--param", "theta=0:1:2",
                               "--outputs", "negativity"], capsys)
         assert code == 4
-
-    def test_structurally_invalid_output_exit_4(self, tmp_path, capsys):
-        # concurrence of a mixed family is rejected before writing anything,
-        # also when the grid's first point (p = 1) is pure and its second is not
-        for p in ("p=0.5:0.5:1", "p=1:0:3"):
-            out = tmp_path / "concurrence.csv"
-            code, _, err = run_cli(["sweep", "--family", "generalized-werner",
-                                    "--param", p, "--param", "theta=0:0:1",
-                                    "--outputs", "concurrence", "--output", str(out)], capsys)
-            assert code == 4
-            assert err == "error: concurrence is defined for pure states only (Tr rho^2 = 0.437500000)\n"
-            assert not out.exists()
 
     def test_xi_nanb_outputs(self, tmp_path, capsys):
         out = tmp_path / "xi.csv"
@@ -1028,23 +995,38 @@ def test_failure_corpus(entry, tmp_path, monkeypatch, capsys):
 
 
 OUTPUTS = json.loads((Path(__file__).parent / "golden" / "outputs.json").read_text(encoding="utf-8"))
+# 300 times the 3.3e-16 by which a change of OpenBLAS kernel set was measured to move the corpus's floats
+FLOAT_TOL = 1e-13
+# a float as repr writes it; integers, nan, inf and null are text, compared exactly
+FLOAT = re.compile(r"(-?\d+\.\d+(?:e[-+]?\d+)?|-?\d+e[-+]?\d+)")
 
 
 @pytest.mark.parametrize("entry", OUTPUTS["entries"], ids=[entry["id"] for entry in OUTPUTS["entries"]])
-def test_output_corpus(entry, tmp_path, monkeypatch):
-    # exit code and stderr everywhere; the stdout bytes of floats depend on
-    # numpy, its BLAS and the CPU, so they are compared where the corpus was
-    # recorded (tests/golden/regen.py rewrites it)
+def test_output_corpus(entry, tmp_path, monkeypatch, record_property):
+    # exit code and stderr everywhere.  The stdout bytes of floats depend on
+    # numpy, its BLAS and the CPU, so stdout is compared byte for byte where the
+    # corpus was recorded (tests/golden/regen.py rewrites it), and elsewhere the
+    # text between floats exactly and each float within FLOAT_TOL absolute plus
+    # relative.  Help texts follow argparse, whose wording changes across Python releases.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", HELP_COLUMNS)
     code, out, err = run(entry["argv"], OUTPUTS["inputs"])
     assert (code, err) == (entry["code"], entry["stderr"])
     recorded, here = OUTPUTS["environment"], environment()
-    if here != recorded:
-        pytest.skip("stdout hashes not compared: recorded with "
-                    + ", ".join(f"{key} {recorded[key]}, here {here.get(key)}" for key in recorded
-                                if here.get(key) != recorded[key]))
-    assert sha256(out) == entry["stdout_sha256"]
+    if "--help" in entry["argv"]:
+        if here["python"] != recorded["python"]:
+            pytest.skip(f"help text recorded with Python {recorded['python']}, here {here['python']}")
+    elif here != recorded:
+        got, want = FLOAT.split(out), FLOAT.split(entry["stdout"])
+        assert got[::2] == want[::2]
+        got, want = np.array(got[1::2], dtype=float), np.array(want[1::2], dtype=float)
+        far = np.abs(got - want) > FLOAT_TOL * (1 + np.abs(want))
+        assert not far.any(), f"{far.sum()} floats out of tolerance: {got[far].tolist()[:3]} for {want[far].tolist()[:3]}"
+        record_property("text", 1)
+        record_property("floats", len(want))
+        return
+    assert out == entry["stdout"]
+    record_property("bytes", 1)
 
 
 def test_report_keys_in_order(tmp_path, capsys):
