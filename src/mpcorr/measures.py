@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import BlochDecomposition, decompose_stack
-from .density import DensityMatrix, _dims, _partial_trace, _partial_transpose, _pure, _purity, is_pure
+from .density import DensityMatrix, _dims, _partial_trace, _partial_transpose, _pure, _purity
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
 QUAD_WEIGHT = 0.125
@@ -126,7 +126,7 @@ def require_column(name: str, dims: tuple[int, ...]):
     for a name with no row, or unless the row's test holds for ``dims``."""
     if name not in COLUMNS:
         raise ValueError(f"unknown output {name!r}; known: {tuple(COLUMNS)}")
-    needs, applies, column = COLUMNS[name]
+    needs, applies, column, _ = COLUMNS[name]
     if not applies(dims):
         raise ValueError(f"{name} output needs {needs}, got dims {dims}")
     return column
@@ -145,12 +145,18 @@ def _one(name: str, ctx: Context) -> float:
     return float(require_column(name, ctx.dims)(ctx))
 
 
-def _pure_marginals(what: str, ctx: Context) -> np.ndarray:
-    """Party-A marginals of pure bipartite states; MixedStateError names the first mixed one."""
+def _marginals(ctx: Context):
+    """Tr rho^2 of each state of a context, and the party-A marginals if all are pure (else None)."""
     purity = _purity(ctx.mats)
-    if not _pure(purity).all():
+    return purity, _partial_trace(ctx.dims, ctx.mats, [0]) if _pure(purity).all() else None
+
+
+def _pure_marginals(what: str, ctx: Context) -> np.ndarray:
+    """The context's party-A marginals; MixedStateError, naming ``what``, at its first mixed state."""
+    purity, marginals = ctx(_marginals)
+    if marginals is None:
         raise MixedStateError(f"{what} is defined for pure states only (Tr rho^2 = {purity[~_pure(purity)][0]:.9f})")
-    return _partial_trace(ctx.dims, ctx.mats, [0])
+    return marginals
 
 
 def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
@@ -188,35 +194,43 @@ def _invariants(ctx: Context):
 
 
 # Every quantity as a column: name -> (what it needs, test on dims, column
-# function).  A column function maps the Context of a stack of B states to B
-# values; evaluate applies rows to a stack, and the scalar functions apply a
-# row to one state through _one or require_column, so each column is the
-# only code for its quantity and its test the only statement of where it is
-# defined.  The sector norms ec, ed and ee, the NSV count and the two-qubit
+# function, law).  A column function maps the Context of a stack of B states
+# to B values; evaluate applies rows to a stack, and the scalar functions
+# apply a row to one state through _one or require_column, so each column is
+# the only code for its quantity and its test the only statement of where it
+# is defined.  The sector norms ec, ed and ee, the NSV count and the two-qubit
 # invariants (xi being NaN where n_A . n_B degenerates) read the context's
-# decomposition, xi and nanb its one invariants pass, and ph (0/1) and
-# pt_min its one PT eigensolve; concurrence and entropy (_PURE_ONLY) read
-# the party-A marginals of its matrices, never decompose, and raise
-# MixedStateError on a mixed state; purity reads the matrices.
+# decomposition, xi and nanb its one invariants pass, and ph (0/1) and pt_min
+# its one PT eigensolve; concurrence and entropy (_PURE_ONLY) read its one
+# pass of purities and party-A marginals, never decompose, and raise
+# MixedStateError on a mixed state; purity reads the matrices.  The law is the
+# set of groups under which the row moves by at most LAW_TOL: local unitaries
+# U_1 x ... x U_N, collective unitaries U x ... x U on parties of one dimension,
+# and party permutations, which reorder the parties with their dims; only the
+# paper's invariants xi and nanb lack the local unitaries.
+LOCAL_UNITARIES, COLLECTIVE_UNITARIES, PARTY_PERMUTATIONS = "local", "collective", "permutation"
+LAW_TOL = 1e-10
+_LOCAL = frozenset({LOCAL_UNITARIES, PARTY_PERMUTATIONS})
+_COLLECTIVE = frozenset({COLLECTIVE_UNITARIES, PARTY_PERMUTATIONS})
 COLUMNS = {
     "ec": ("two parties or three or more equal-dimension parties",
            lambda dims: len(dims) == 2 or len(dims) > 2 and len(set(dims)) == 1,
-           _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1]))),
+           _sector_norm(2, lambda dims: _pair_weight(dims[0], dims[-1])), _LOCAL),
     "ed": ("three qubits or three qutrits", lambda dims: dims in ((2, 2, 2), (3, 3, 3)),
-           _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]])),
-    "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT)),
+           _sector_norm(3, lambda dims: TRIPLE_WEIGHTS[dims[0]]), _LOCAL),
+    "ee": ("four qubits", lambda dims: dims == (2, 2, 2, 2), _sector_norm(4, lambda dims: QUAD_WEIGHT), _LOCAL),
     "concurrence": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx:
-                    np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", ctx)))))),
+                    np.sqrt(np.maximum(0.0, 2.0 * (1.0 - _purity(_pure_marginals("concurrence", ctx))))), _LOCAL),
     "entropy": ("a bipartite state", lambda dims: len(dims) == 2,
-                lambda ctx: _entropy_bits(_pure_marginals("entanglement entropy", ctx))),
+                lambda ctx: _entropy_bits(_pure_marginals("entanglement entropy", ctx)), _LOCAL),
     "nsv": ("a bipartite state", lambda dims: len(dims) == 2,
-            lambda ctx: _spectrum(ctx(_tensors)[1][(0, 1)])[2]),
+            lambda ctx: _spectrum(ctx(_tensors)[1][(0, 1)])[2], _LOCAL),
     "ph": ("a bipartite state", lambda dims: len(dims) == 2,
-           lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int)),
-    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[0]),
-    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[1]),
-    "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats)),
-    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min)),
+           lambda ctx: (ctx(_pt_min) < -PT_NEGATIVITY_TOL).astype(int), _LOCAL),
+    "xi": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[0], _COLLECTIVE),
+    "nanb": ("a two-qubit state", lambda dims: dims == (2, 2), lambda ctx: ctx(_invariants)[1], _COLLECTIVE),
+    "purity": ("any state", lambda dims: True, lambda ctx: _purity(ctx.mats), _LOCAL),
+    "pt_min": ("a bipartite state", lambda dims: len(dims) == 2, lambda ctx: ctx(_pt_min), _LOCAL),
 }
 _PURE_ONLY = ("concurrence", "entropy")
 
@@ -227,9 +241,10 @@ _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """The measures of every row of _FIELDS whose rule holds for the state's
     party structure; concurrence and entropy only when the state is pure."""
-    skip = () if is_pure(rho) else _PURE_ONLY
-    names = [name for name in _FIELDS if COLUMNS[name][1](rho.dims) and name not in skip]
+    ctx = Context(rho.dims, rho.matrix[None])
+    names = [name for name in _FIELDS if COLUMNS[name][1](rho.dims)
+             and (name not in _PURE_ONLY or ctx(_marginals)[1] is not None)]
     if not names:
         raise ValueError(f"no measures defined for party structure {rho.dims}")
-    values = evaluate(Context(rho.dims, rho.matrix[None]), names)
+    values = evaluate(ctx, names)
     return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in values.items()})

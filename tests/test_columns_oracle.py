@@ -4,7 +4,8 @@ partial trace by np.trace and kron-product expectation values.  Every scalar
 function is the one-state case of its column, so comparing the two no longer
 checks the arithmetic; these tests do, on stacks of random, product and
 classically correlated states, and for concurrence and entropy, which are
-defined on pure states only, on stacks of pure random and pure product states."""
+defined on pure states only, on stacks of pure random and pure product states.
+Every row is also held to its law, the groups it is invariant under."""
 
 import math
 from itertools import combinations
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (kron_all, oracle_basis, oracle_cumulant, oracle_pair_c, oracle_ptrace,
-                     oracle_ptranspose, oracle_vectors, random_density_mat)
+                     oracle_ptranspose, oracle_vectors, random_density_mat, random_unitary)
 
 from mpcorr import measures
 from mpcorr.classify import ph_test
@@ -68,7 +69,7 @@ def test_columns_and_ph_test_match_oracle(dims, seed, rank):
     classical = 0.3 * product_state(dims, rng, 1) + 0.7 * product_state(dims, rng, 1)
     mats = np.stack([noisy, product_state(dims, rng, rank), classical, (1 - 1e-11) * classical + 1e-11 * noisy])
     ctx = Context(dims, mats)
-    columns = {name: column for name, (_, applies, column) in measures.COLUMNS.items()
+    columns = {name: column for name, (_, applies, column, _) in measures.COLUMNS.items()
                if applies(dims)}
     if len(dims) == 2:      # the stack holds mixed states, which the pure-state rows refuse
         for name in ("concurrence", "entropy"):
@@ -102,3 +103,61 @@ def test_pure_state_columns_match_oracle(dims, seed):
         assert concurrence[b] ** 2 / 2 == pytest.approx(1 - np.trace(marginal @ marginal).real, abs=1e-12)
         mu = np.linalg.eigvalsh(marginal)
         assert entropy[b] == pytest.approx(-sum(m * math.log2(m) for m in mu if m > 1e-15), rel=1e-10, abs=1e-12)
+
+
+LAW_SHAPES = [(2,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4)]
+
+
+def conjugated(mats, unitaries):
+    return unitaries @ mats @ unitaries.conj().transpose(0, 2, 1)
+
+
+def local_image(dims, mats, rng):
+    """Each state under its own random U_1 x ... x U_N."""
+    return dims, conjugated(mats, np.stack([kron_all([random_unitary(d, rng) for d in dims]) for _ in mats]))
+
+
+def collective_image(dims, mats, rng):
+    """Each state under its own random U x ... x U."""
+    return dims, conjugated(mats, np.stack([kron_all([random_unitary(dims[0], rng)] * len(dims)) for _ in mats]))
+
+
+def permuted_image(dims, mats, rng):
+    """The stack with its parties reordered by a random permutation, the
+    identity only where there is one party."""
+    order = rng.permutation(len(dims))
+    if len(dims) > 1 and (order == np.arange(len(dims))).all():
+        order = order[::-1]
+    axes = (0, *(1 + order), *(1 + len(dims) + order))
+    return tuple(dims[i] for i in order), mats.reshape(len(mats), *dims, *dims).transpose(axes).reshape(mats.shape)
+
+
+IMAGES = {measures.LOCAL_UNITARIES: local_image, measures.COLLECTIVE_UNITARIES: collective_image,
+          measures.PARTY_PERMUTATIONS: permuted_image}
+
+
+@pytest.mark.parametrize("name, dims", [(name, dims) for name, (_, applies, _, _) in measures.COLUMNS.items()
+                                        for dims in LAW_SHAPES if applies(dims)],
+                         ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else value)
+def test_every_row_keeps_its_law(name, dims, rng):
+    """Each row's value on a stack of random mixed and random pure states (pure
+    only for the pure-state rows) moves by at most LAW_TOL under random
+    elements of each group of its law, and a row whose law lacks the local
+    unitaries moves under some local unitary; xi is skipped only where it is
+    NaN on both sides."""
+    law, d = measures.COLUMNS[name][3], math.prod(dims)
+    mixed = [] if name in measures._PURE_ONLY else [random_density_mat(d, rng) for _ in range(4)]
+    mats = np.stack(mixed + [random_density_mat(d, rng, rank=1) for _ in range(8 - len(mixed))])
+    value = measures.evaluate(Context(dims, mats), [name])[name]
+
+    def moved(image):
+        image_dims, image_mats = image(dims, mats, rng)
+        got = measures.evaluate(Context(image_dims, image_mats), [name])[name]
+        both_nan = np.isnan(got) & np.isnan(value) if name == "xi" else False
+        return np.where(both_nan, 0.0, np.abs(got - value))
+
+    for group, image in IMAGES.items():
+        if group in law and (group != measures.COLLECTIVE_UNITARIES or len(set(dims)) == 1):
+            assert moved(image).max() <= measures.LAW_TOL, group
+    if measures.LOCAL_UNITARIES not in law:
+        assert moved(local_image).max() > measures.LAW_TOL

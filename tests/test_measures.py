@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import kron_all, random_density_mat, random_pure_vec, random_unitary
+from helpers import random_density_mat, random_pure_vec
 
 from mpcorr.bloch import decompose
 from mpcorr.density import DensityMatrix, from_pure, tensor
@@ -178,34 +178,6 @@ class TestEntropy:
     def test_mixed_state_rejected(self):
         with pytest.raises(MixedStateError):
             entanglement_entropy(DensityMatrix((2, 2), np.eye(4) / 4))
-
-
-class TestLocalUnitaryInvariance:
-    def test_bipartite_measures(self, rng):
-        for dims in [(2, 2), (3, 3), (2, 3)]:
-            rho = from_pure(random_pure_vec(int(np.prod(dims)), rng), dims)
-            u = kron_all([random_unitary(d, rng) for d in dims])
-            rotated = DensityMatrix(dims, u @ rho.matrix @ u.conj().T)
-            for fn in (lambda r: e_c_bipartite(decompose(r).pair(0, 1), dims),
-                       concurrence_pure, entanglement_entropy):
-                assert fn(rotated) == pytest.approx(fn(rho), abs=1e-10)
-
-    def test_e_d_and_e_e(self, rng):
-        rho = rand_state((2, 2, 2), rng)
-        u = kron_all([random_unitary(2, rng) for _ in range(3)])
-        rotated = DensityMatrix(rho.dims, u @ rho.matrix @ u.conj().T)
-        assert e_d(decompose(rotated)) == pytest.approx(e_d(decompose(rho)), abs=1e-10)
-
-        rho4 = rand_state((2, 2, 2, 2), rng)
-        u4 = kron_all([random_unitary(2, rng) for _ in range(4)])
-        rotated4 = DensityMatrix(rho4.dims, u4 @ rho4.matrix @ u4.conj().T)
-        assert e_e(decompose(rotated4)) == pytest.approx(e_e(decompose(rho4)), abs=1e-10)
-
-    def test_e_d_qutrit(self, rng):
-        rho = from_pure(random_pure_vec(27, rng), (3, 3, 3))
-        u = kron_all([random_unitary(3, rng) for _ in range(3)])
-        rotated = DensityMatrix(rho.dims, u @ rho.matrix @ u.conj().T)
-        assert e_d(decompose(rotated)) == pytest.approx(e_d(decompose(rho)), abs=1e-10)
 
 
 @pytest.mark.parametrize("dims,count", [((2, 2), 4000), ((2, 3), 3000), ((3, 3), 3000)])
