@@ -10,13 +10,15 @@ def rng():
 
 
 def pytest_terminal_summary(terminalreporter):
-    """How test_output_corpus compared stdout: entries byte for byte, or,
-    where the environment differs from the recorded one, by their text between
-    floats and each float within a tolerance."""
+    """How test_output_corpus compared stdout: every entry by its text between
+    floats and each float within a tolerance, and, where the environment
+    matches the recorded one (for a help text, its Python), byte for byte as
+    well."""
     counts = Counter()
     for report in terminalreporter.stats.get("passed", []):
         for name, value in report.user_properties:
             counts[name] += value
     if counts:
-        terminalreporter.write_line(f"stdout corpus: {counts['bytes']} entries compared byte for byte, "
-                                    f"{counts['text']} by text and {counts['floats']} floats within tolerance")
+        terminalreporter.write_line(f"stdout corpus: {counts['text']} entries compared by text and "
+                                    f"{counts['floats']} floats within tolerance, {counts['bytes']} of them "
+                                    f"also byte for byte")

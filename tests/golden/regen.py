@@ -8,9 +8,10 @@ stdout.  The state files the commands read are one table, ``inputs``, by file
 name; a seeded file keeps the text it was first recorded with.  The float
 bytes of stdout depend on the numpy build, its BLAS and the kernels a
 DYNAMIC_ARCH OpenBLAS picks for the CPU, so the corpus records
-:func:`environment`; ``tests/test_cli.py`` compares stdout bytes on a host
-that reports the same one, and elsewhere each float within a tolerance and
-the rest of the text exactly.  Help texts are written at HELP_COLUMNS.
+:func:`environment`; ``tests/test_cli.py`` compares each float of stdout
+within a tolerance and the rest of the text exactly on every host, and the
+bytes as well on a host that reports the same one.  Help texts are written
+at HELP_COLUMNS.
 """
 
 import ctypes

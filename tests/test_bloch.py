@@ -392,34 +392,6 @@ def test_sub_tensors_match_marginal_oracle(dims, rng):
             assert np.abs(dec.correlations.get(parties) - want).max() < 1e-12
 
 
-def test_five_qubits_match_marginal_oracle(rng):
-    # beyond four parties, every sector is a key of the one correlations mapping
-    dims = (2,) * 5
-    rho = rand_state(dims, rng)
-    dec = decompose(rho)
-    for p, vec in enumerate(oracle_vectors(rho.matrix, dims, [PAULI] * 5)):
-        assert np.abs(dec.coherence_vectors[p] - vec).max() < 1e-12
-    subsets = [s for size in range(2, 6) for s in combinations(range(5), size)]
-    assert sorted(dec.correlations) == sorted(subsets)
-    for parties in subsets:
-        marginal = oracle_ptrace(rho.matrix, dims, parties)
-        want = oracle_cumulant(marginal, (2,) * len(parties), [PAULI] * len(parties))
-        assert np.abs(dec.correlations[parties] - want).max() < 1e-12
-    assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < 1e-12
-
-
-@pytest.mark.parametrize("dims", [(2, 3, 4), (2,) * 6])
-def test_pair_sectors_of_larger_shapes_match_marginals(dims, rng):
-    # the oracle basis stops at n = 3, so (2, 3, 4) is checked against the
-    # two-party decompositions of the oracle's marginals
-    rho = rand_state(dims, rng)
-    dec = decompose(rho)
-    assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < 1e-12
-    for pair in combinations(range(len(dims)), 2):
-        marginal = DensityMatrix(tuple(dims[p] for p in pair), oracle_ptrace(rho.matrix, dims, pair))
-        assert np.abs(dec.correlations[pair] - decompose(marginal).pair(0, 1)).max() < 1e-12
-
-
 @pytest.mark.parametrize("dims", SHAPES)
 def test_decomposition_arrays_read_only(dims, rng):
     dec = decompose(rand_state(dims, rng))
@@ -429,6 +401,50 @@ def test_decomposition_arrays_read_only(dims, rng):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = 1.0
+
+
+# The shapes the moment map is held to the oracle on, each with the number of
+# its seeded random states the oracle checks: the first state is mixed, the
+# second pure, the rest mixed, and every state, 25 or more, is round-tripped.
+# (3, 3, 3, 3) has one state, since its oracle alone takes about half a second.
+ORACLE_SHAPES = {
+    (2,): 50, (3,): 50, (4,): 50, (5,): 50,
+    (2, 2): 10, (2, 3): 10, (3, 3): 10,
+    (2, 2, 2): 2, (2, 2, 3): 2, (3, 3, 3): 2, (2, 3, 4): 2,
+    (2, 2, 2, 2): 2, (2, 2, 2, 3): 2, (3, 3, 3, 3): 1,
+    (2,) * 5: 2, (2,) * 6: 2,
+}
+# the oracle checks the pair sectors only here: all 57 take it 0.5 s a state
+PAIRS_ONLY = {(2,) * 6}
+
+
+@pytest.mark.parametrize("dims", ORACLE_SHAPES, ids=str)
+def test_moment_map_matches_oracle(dims, rng):
+    """Every coherence vector, and every correlation tensor against the
+    oracle's decomposition of the marginal on its parties; the sector keys,
+    read-only parts and the round trip.  The oracle's bases stop at n = 3, so
+    beyond that it takes the package's, which test_su_basis pins."""
+    n, oracle_states = len(dims), ORACLE_SHAPES[dims]
+    bases = [oracle_basis(m) if m <= 3 else gell_mann_basis(m) for m in dims]
+    sectors = {s for k in range(2, n + 1) for s in combinations(range(n), k)}
+    checked = [s for s in sectors if len(s) == 2 or dims not in PAIRS_ONLY]
+    for k in range(max(25, oracle_states)):
+        rho = DensityMatrix(dims, random_density_mat(math.prod(dims), rng, rank=1 if k == 1 else None))
+        dec = decompose(rho)
+        assert dec.dims == dims and dec.correlations.keys() == sectors
+        for arr in (*dec.coherence_vectors, *dec.correlations.values()):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 1.0
+        assert np.abs(reconstruct(dec).matrix - rho.matrix).max() < (1e-15 if n == 1 else 1e-12)
+        if n == 1:
+            assert same_bits(dec.coherence_vectors[0], coherence_vector(rho))
+        if k >= oracle_states:
+            continue
+        for got, want in zip(dec.coherence_vectors, oracle_vectors(rho.matrix, dims, bases)):
+            assert np.abs(got - want).max() < 1e-12
+        for s in checked:
+            want = oracle_cumulant(oracle_ptrace(rho.matrix, dims, s), tuple(dims[p] for p in s), [bases[p] for p in s])
+            assert np.abs(dec.correlations[s] - want).max() < 1e-12
 
 
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])

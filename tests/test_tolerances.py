@@ -13,8 +13,8 @@ import pytest
 
 from mpcorr import measures
 from mpcorr.bloch import BlochDecomposition, decompose, decompose_stack, reconstruct
-from mpcorr.classify import (Category, DegenerateBlochVectorsError, classify_two_qubit, correlation_spectrum,
-                             ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
+from mpcorr.classify import (Category, DegenerateBlochVectorsError, PHInvariants, classify_two_qubit,
+                             correlation_spectrum, ph_condition_explicit, ph_invariants, ph_test, ph_test_signflip)
 from mpcorr.density import (DensityMatrix, HermitianOperator, NotHermitianError, NotPSDError, TraceNotOneError, mix,
                             partial_trace, partial_transpose, tensor, validate)
 from mpcorr.exchange import NullProjectionError, exchange_projector, project_exchange
@@ -27,6 +27,7 @@ PURITY_TOL = 1e-8
 NSV_ABS_FLOOR = 1e-12                   # measures
 NSV_REL_FACTOR = 1e-9
 PT_NEGATIVITY_TOL = 1e-10
+PH_EXPLICIT_MARGIN = 1e-10              # classify.ph_condition_explicit
 BLOCH_DEGENERACY_TOL = 1e-12
 NULL_PROJECTION_TOL = 1e-12             # exchange
 
@@ -217,6 +218,14 @@ def test_null_projection(factor, crossed):
     result = expect(not crossed, NullProjectionError, lambda: project_exchange(rho, "antisymmetric"))
     if crossed:
         assert result.weight == pytest.approx(w, rel=1e-12)
+
+
+@SIDES
+def test_explicit_ph_condition_margin(factor, crossed):
+    # with n_A.n_B = 0 and xi < 0 the largest root is -1.5 xi, here 1 - delta:
+    # within the margin of 1 it is reported entangled
+    delta = factor * PH_EXPLICIT_MARGIN
+    assert ph_condition_explicit(PHInvariants(xi=-(1 - delta) / 1.5, na_dot_nb=0.0, na_dot_c_nb=0.0)) != crossed
 
 
 def test_explicit_ph_condition_disagrees_on_the_boundary():
