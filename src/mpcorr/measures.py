@@ -94,11 +94,16 @@ def entanglement_entropy(rho: DensityMatrix) -> float:
 
 
 class Context:
-    """A (B, d, d) stack or one (d, d) state as the rows read it: ``dims``,
-    ``mats`` and ``ctx(f)``, the value f(ctx) of a shared quantity such as
+    """A (B, d, d) stack as the rows read it: ``dims``, ``mats`` and
+    ``ctx(f)``, the value f(ctx) of a shared quantity such as
     :func:`_tensors`, computed on its first read and kept with the context,
     so a quantity may read another.  ``tensors`` is the value of
-    :func:`_tensors` where no mats are given."""
+    :func:`_tensors` where no mats are given.  Only the rows that read the
+    matrices (concurrence, entropy, ph, purity, pt_min) also take one (d, d)
+    state; the rows that decompose (ec, ed, ee, nsv, xi, nanb) raise
+    ValueError on it, as :func:`_tensors` needs the batch axis.  So the
+    scalar entry points pass one state only to concurrence, entropy and
+    pt_min, and pass a decomposition's parts as ``tensors``."""
 
     def __init__(self, dims: tuple[int, ...], mats: np.ndarray | None = None, tensors=None):
         self.dims, self.mats, self._memo = dims, mats, {} if tensors is None else {_tensors: tensors}

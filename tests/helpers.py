@@ -26,11 +26,28 @@ GELL_MANN = [
 
 
 def oracle_basis(n):
+    """The textbook lists for n = 2 and 3; beyond, the generalized Gell-Mann
+    matrices written out entry by entry: the symmetric and antisymmetric pair
+    of each (j, k), j < k, in lexicographic order, then the diagonals
+    sqrt(2 / (l (l + 1))) diag(1, ..., 1, -l, 0, ..., 0), l = 1 .. n - 1."""
     if n == 2:
         return PAULI
     if n == 3:
         return GELL_MANN
-    raise ValueError(f"oracle basis only covers n in (2, 3), got {n}")
+    basis = []
+    for j in range(n):
+        for k in range(j + 1, n):
+            sym, anti = np.zeros((n, n), dtype=complex), np.zeros((n, n), dtype=complex)
+            sym[j, k] = sym[k, j] = 1
+            anti[j, k], anti[k, j] = -1j, 1j
+            basis += [sym, anti]
+    for l in range(1, n):
+        diag = np.zeros((n, n), dtype=complex)
+        for m in range(l):
+            diag[m, m] = 1
+        diag[l, l] = -l
+        basis.append(diag * np.sqrt(2 / (l * (l + 1))))
+    return basis
 
 
 def kron_all(mats):
@@ -110,9 +127,9 @@ def random_pure_vec(d, rng):
     return v / np.linalg.norm(v)
 
 
-def random_density_mat(d, rng, rank=None):
+def random_density_mat(d, rng, rank=None, real=False):
     rank = d if rank is None else rank
-    g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    g = rng.normal(size=(d, rank)) + (0 if real else 1j * rng.normal(size=(d, rank)))
     m = g @ g.conj().T
     return m / np.trace(m).real
 

@@ -18,7 +18,6 @@ from mpcorr.density import DensityMatrix, NotHermitianError, from_pure, partial_
 from mpcorr.families import (generalized_werner_states, ghz, rashid_states,
                              tripartite_qutrit_e3_states)
 from mpcorr.measures import e_c_multipartite, e_d
-from mpcorr.su_basis import gell_mann_basis
 
 PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
@@ -422,10 +421,9 @@ PAIRS_ONLY = {(2,) * 6}
 def test_moment_map_matches_oracle(dims, rng):
     """Every coherence vector, and every correlation tensor against the
     oracle's decomposition of the marginal on its parties; the sector keys,
-    read-only parts and the round trip.  The oracle's bases stop at n = 3, so
-    beyond that it takes the package's, which test_su_basis pins."""
+    read-only parts and the round trip."""
     n, oracle_states = len(dims), ORACLE_SHAPES[dims]
-    bases = [oracle_basis(m) if m <= 3 else gell_mann_basis(m) for m in dims]
+    bases = [oracle_basis(m) for m in dims]
     sectors = {s for k in range(2, n + 1) for s in combinations(range(n), k)}
     checked = [s for s in sectors if len(s) == 2 or dims not in PAIRS_ONLY]
     for k in range(max(25, oracle_states)):
@@ -474,9 +472,8 @@ def test_singular_values_invariant_under_local_unitaries(dims, rng):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_coherence_vector_matches_oracle(n, rng):
-    # Tr(rho G_i) term by term; the oracle has bases of its own for n = 2 and
-    # 3 only, so beyond that it takes the package's (pinned by test_su_basis)
-    basis = oracle_basis(n) if n <= 3 else gell_mann_basis(n)
+    # Tr(rho G_i) term by term
+    basis = oracle_basis(n)
     for _ in range(50):
         mat = random_density_mat(n, rng)
         got = coherence_vector(DensityMatrix((n,), mat))

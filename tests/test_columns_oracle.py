@@ -5,7 +5,9 @@ function is the one-state case of its column, so comparing the two no longer
 checks the arithmetic; these tests do, on stacks of random, product and
 classically correlated states, and for concurrence and entropy, which are
 defined on pure states only, on stacks of pure random and pure product states.
-Every row is also held to its law, the groups it is invariant under."""
+Every row is also held to its law, the groups it is invariant under, and to
+the stack contract: a state gets the same bits from its row in a stack, alone,
+through its scalar entry point and, for a real state, as its complex copy."""
 
 import math
 from itertools import combinations
@@ -15,10 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entry_points import ENTRY_POINTS
 from helpers import (kron_all, oracle_basis, oracle_cumulant, oracle_pair_c, oracle_ptrace,
                      oracle_ptranspose, oracle_vectors, random_density_mat, random_unitary)
 
 from mpcorr import measures
+from mpcorr.bloch import decompose
 from mpcorr.classify import ph_test
 from mpcorr.density import DensityMatrix
 from mpcorr.measures import (BLOCH_DEGENERACY_TOL, NSV_ABS_FLOOR, NSV_REL_FACTOR, PT_NEGATIVITY_TOL, Context,
@@ -105,7 +109,13 @@ def test_pure_state_columns_match_oracle(dims, seed):
         assert entropy[b] == pytest.approx(-sum(m * math.log2(m) for m in mu if m > 1e-15), rel=1e-10, abs=1e-12)
 
 
-LAW_SHAPES = [(2,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4)]
+LAW_SHAPES = [(2,), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (2, 2, 2), (3, 3, 3), (2, 2, 2, 2), (2, 3, 4)]
+
+# every row on every shape of LAW_SHAPES it applies to
+each_case = pytest.mark.parametrize(
+    "name, dims", [(name, dims) for name, (_, applies, _, _) in measures.COLUMNS.items()
+                   for dims in LAW_SHAPES if applies(dims)],
+    ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else value)
 
 
 def conjugated(mats, unitaries):
@@ -136,9 +146,7 @@ IMAGES = {measures.LOCAL_UNITARIES: local_image, measures.COLLECTIVE_UNITARIES: 
           measures.PARTY_PERMUTATIONS: permuted_image}
 
 
-@pytest.mark.parametrize("name, dims", [(name, dims) for name, (_, applies, _, _) in measures.COLUMNS.items()
-                                        for dims in LAW_SHAPES if applies(dims)],
-                         ids=lambda value: "x".join(map(str, value)) if isinstance(value, tuple) else value)
+@each_case
 def test_every_row_keeps_its_law(name, dims, rng):
     """Each row's value on a stack of random mixed and random pure states (pure
     only for the pure-state rows) moves by at most LAW_TOL under random
@@ -161,3 +169,48 @@ def test_every_row_keeps_its_law(name, dims, rng):
             assert moved(image).max() <= measures.LAW_TOL, group
     if measures.LOCAL_UNITARIES not in law:
         assert moved(local_image).max() > measures.LAW_TOL
+
+
+def contract_stacks(name, dims, rng):
+    """A complex and a real stack of random states: pure ones and, for a row
+    that applies to mixed states, ones of rank 2 and of full rank.  On two
+    parties the mixed stacks also hold a near-classical state, C of rank one
+    plus a 1e-11 admixture, whose small singular values only the NSV
+    threshold of its own C drops, and a weakly correlated one, a product plus
+    a 1e-10 admixture, whose singular values of about 1e-10 that threshold
+    counts and one taken from the whole stack would drop."""
+    d, mixed = math.prod(dims), name not in measures._PURE_ONLY
+    ranks = [1, 1, 1, 1, 2, d, 2, d] if mixed else [1] * 8
+    for real in (False, True):
+        states = [random_density_mat(d, rng, rank=rank, real=real) for rank in ranks]
+        if mixed and len(dims) == 2:
+            noise = [random_density_mat(d, rng, real=real) for _ in range(2)]
+            product = kron_all([random_density_mat(n, rng, real=real) for n in dims])
+            classical = np.diag([0.5] + [0.0] * (d - 2) + [0.5])
+            states += [(1 - 1e-11) * classical + 1e-11 * noise[0], (1 - 1e-10) * product + 1e-10 * noise[1]]
+        yield np.stack(states)
+
+
+@each_case
+def test_every_row_gives_each_state_one_value(name, dims, rng):
+    """The stack contract, bit for bit and NaN matching NaN: the row gives each
+    state of a stack the value it gives the state alone, as a stack of one,
+    and the value of its scalar entry point, and a real stack the values of
+    its complex copy.  Where the entry point has no n_A . n_B, as xi is
+    undefined, the row's value is within BLOCH_DEGENERACY_TOL of 0."""
+    def row(mats):
+        return np.asarray(measures.evaluate(Context(dims, mats), [name])[name])
+
+    for mats in contract_stacks(name, dims, rng):
+        value = row(mats)
+        rhos = [DensityMatrix(dims, mat) for mat in mats]
+        scalar = np.array([ENTRY_POINTS[name](rho, decompose(rho)) for rho in rhos])
+        if name == "nanb":
+            undefined = np.isnan(scalar)
+            assert (np.abs(value[undefined]) <= BLOCH_DEGENERACY_TOL).all()
+            scalar[undefined] = value[undefined]
+        others = {"alone": np.concatenate([row(mat[None]) for mat in mats]), "scalar entry point": scalar}
+        if mats.dtype == float:
+            others["complex copy"] = row(mats.astype(complex))
+        for path, got in others.items():
+            assert got.tobytes() == value.tobytes(), (path, got.tolist(), value.tolist())

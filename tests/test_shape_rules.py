@@ -8,37 +8,18 @@ import math
 import numpy as np
 import pytest
 
+from entry_points import ENTRY_POINTS
 from helpers import random_pure_vec
 
 from mpcorr import measures
 from mpcorr.bloch import decompose
-from mpcorr.classify import ph_invariants, ph_test
-from mpcorr.density import from_pure, purity
-from mpcorr.measures import (concurrence_pure, e_c_bipartite, e_c_multipartite, e_d, e_e,
-                             entanglement_entropy, measure_set)
+from mpcorr.density import from_pure
+from mpcorr.measures import measure_set
 
 SHAPES = [(2,), (2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 3, 3), (4, 4, 4), (2, 2, 2, 2),
           (3, 3, 3, 3), (2,) * 5]
 
 ROWS = measures.COLUMNS
-
-# the scalar entry point of each row, on a state and its decomposition
-ENTRY_POINTS = {
-    "ec": lambda rho, dec: e_c_bipartite(dec.pair(0, 1), rho.dims) if rho.num_parties == 2 else e_c_multipartite(dec),
-    "ed": lambda rho, dec: e_d(dec),
-    "ee": lambda rho, dec: e_e(dec),
-    "concurrence": lambda rho, dec: concurrence_pure(rho),
-    "entropy": lambda rho, dec: entanglement_entropy(rho),
-    "ph": lambda rho, dec: ph_test(rho),
-    "xi": lambda rho, dec: ph_invariants(dec).xi,
-    "nanb": lambda rho, dec: ph_invariants(dec).na_dot_nb,
-    "purity": lambda rho, dec: purity(rho),
-    "pt_min": lambda rho, dec: ph_test(rho).min_eigenvalue,
-}
-
-# correlation_spectrum, the scalar form of nsv, takes a bare matrix, not a
-# party structure
-NO_ENTRY_POINT = {"nsv"}
 
 FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", "entropy": "entropy_bits"}
 
@@ -48,12 +29,13 @@ def pure_state(dims, rng):
 
 
 def test_every_row_is_covered():
-    assert set(ENTRY_POINTS) | NO_ENTRY_POINT == set(ROWS)
+    assert set(ENTRY_POINTS) == set(ROWS)
     assert FIELDS == measures._FIELDS
 
 
 @pytest.mark.parametrize("dims", SHAPES, ids=lambda dims: "x".join(map(str, dims)))
-@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+# correlation_spectrum, the entry point of nsv, takes a bare matrix, not a party structure
+@pytest.mark.parametrize("name", sorted(set(ENTRY_POINTS) - {"nsv"}))
 def test_entry_point_raises_exactly_where_its_row_does_not_apply(name, dims, rng):
     rho = pure_state(dims, rng)
     dec = decompose(rho)
