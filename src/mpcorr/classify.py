@@ -17,7 +17,8 @@ import numpy as np
 
 from .bloch import BlochDecomposition, _augmented, _from_moments, _moments
 from .density import DensityMatrix, _pure, _require_finite
-from .measures import PT_NEGATIVITY_TOL, Context, _invariants, _pair_decomposition, _spectrum, evaluate, require_column
+from .measures import (PT_NEGATIVITY_TOL, _invariants, _one, _pair_decomposition, _spectrum, _stack_of_one, evaluate,
+                       require_column)
 
 
 class DegenerateBlochVectorsError(ValueError):
@@ -85,7 +86,7 @@ def correlation_spectrum(c: np.ndarray) -> CorrelationSpectrum:
     parties whose dimensions its shape gives (n^2 - 1 per axis): ValueError
     for any other shape or a non-finite entry."""
     dims = tuple(isqrt(k + 1) for k in np.shape(c))
-    sv, threshold, count = _spectrum(_pair_decomposition(dims, c).pair(0, 1))
+    sv, threshold, count = (values[0] for values in _spectrum(_pair_decomposition(dims, c).pair(0, 1)[None]))
     sv.setflags(write=False)
     return CorrelationSpectrum(singular_values=sv, nsv_count=int(count), threshold_used=float(threshold))
 
@@ -98,8 +99,7 @@ def _verdict(dims: tuple[int, int], min_eig: float) -> PHVerdict:
 def ph_test(rho: DensityMatrix) -> PHVerdict:
     """Spectral Peres-Horodecki test: transpose the second party and look for
     a negative eigenvalue."""
-    column = require_column("pt_min", rho.dims)
-    return _verdict(rho.dims, float(column(Context(rho.dims, rho.matrix))))
+    return _verdict(rho.dims, _one("pt_min", rho))
 
 
 def ph_test_signflip(rho: DensityMatrix) -> PHVerdict:
@@ -120,12 +120,11 @@ def ph_invariants(decomp: BlochDecomposition) -> PHInvariants:
     Undefined (raises DegenerateBlochVectorsError) when |n_A . n_B| <= 1e-12.
     """
     require_column("xi", decomp.dims)
-    xi, na_nb, na_c_nb = _invariants(Context(decomp.dims, tensors=(decomp.coherence_vectors,
-                                                                   {(0, 1): decomp.pair(0, 1)})))
-    if np.isnan(xi):
+    inv = PHInvariants(*(float(values[0]) for values in _stack_of_one(decomp)(_invariants)))
+    if np.isnan(inv.xi):
         raise DegenerateBlochVectorsError(
-            f"n_A . n_B = {na_nb:.3e}; xi is undefined for (near-)orthogonal Bloch vectors")
-    return PHInvariants(xi=float(xi), na_dot_nb=float(na_nb), na_dot_c_nb=float(na_c_nb))
+            f"n_A . n_B = {inv.na_dot_nb:.3e}; xi is undefined for (near-)orthogonal Bloch vectors")
+    return inv
 
 
 def ph_condition_explicit(inv: PHInvariants) -> bool:
@@ -157,9 +156,8 @@ def classify_two_qubit(rho: DensityMatrix) -> ClassificationReport:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"classification supports two qubits (dims [2, 2]), got dims {list(rho.dims)}")
-    ctx = Context(rho.dims, rho.matrix[None])
-    names = ("purity", "nsv", "ph", "pt_min")
-    purity, nsv, ph, pt_min = (values[0].item() for values in evaluate(ctx, names).values())
+    ctx = _stack_of_one(rho)
+    purity, nsv, ph, pt_min = (values[0].item() for values in evaluate(ctx, ("purity", "nsv", "ph", "pt_min")).values())
     entangled = bool(ph)
     if _pure(purity):
         category = Category.PURE_PRODUCT if nsv == 0 else Category.PURE_ENTANGLED

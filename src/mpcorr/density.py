@@ -111,7 +111,7 @@ class DensityMatrix(HermitianOperator):
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """(M + M^dag) / 2, Hermitian to the last bit: entry (j, i) is the exact conjugate of entry (i, j)."""
+    """(M + M^dag) / 2 of one (d, d) M, Hermitian to the last bit: entry (j, i) is the exact conjugate of (i, j)."""
     return (mat + mat.conj().T) / 2
 
 
@@ -212,22 +212,21 @@ def mix(weights, states) -> DensityMatrix:
 
 
 def _partial_trace(dims: tuple[int, ...], mats: np.ndarray, kept: list[int]) -> np.ndarray:
-    """Marginals on the increasing parties ``kept`` of a (d, d) matrix or a (B, d, d) stack."""
-    n, lead = len(dims), mats.shape[:-2]
+    """Marginals on the increasing parties ``kept`` of each matrix of a (B, d, d) stack."""
+    n, b = len(dims), len(mats)
     cols = [n + i if i in kept else i for i in range(n)]
-    t = np.einsum(mats.reshape(lead + dims + dims), [..., *range(n), *cols], [..., *kept, *(n + i for i in kept)])
-    return t.reshape(lead + 2 * (prod(dims[i] for i in kept),))
+    t = np.einsum(mats.reshape((b,) + dims + dims), [..., *range(n), *cols], [..., *kept, *(n + i for i in kept)])
+    return t.reshape((b,) + 2 * (prod(dims[i] for i in kept),))
 
 
 def _partial_transpose(dims: tuple[int, ...], mats: np.ndarray, party: int) -> np.ndarray:
-    """A (d, d) matrix or a (B, d, d) stack with the indices of ``party`` transposed."""
-    n = len(dims)
-    return mats.reshape(mats.shape[:-2] + dims + dims).swapaxes(party - 2 * n, party - n).reshape(mats.shape)
+    """A (B, d, d) stack with the indices of ``party`` transposed."""
+    return mats.reshape((len(mats),) + dims + dims).swapaxes(1 + party, 1 + party + len(dims)).reshape(mats.shape)
 
 
 def _purity(mats: np.ndarray) -> np.ndarray:
-    """Tr(rho^2) of one (d, d) matrix or of each matrix of a (B, d, d) stack."""
-    return np.einsum("...ij,...ji->...", mats, mats).real
+    """Tr(rho^2) of each matrix of a (B, d, d) stack."""
+    return np.einsum("bij,bji->b", mats, mats).real
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -244,7 +243,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise ValueError(f"keep indices {kept} out of range for {n} parties")
     if len(kept) == n:
         return rho
-    return DensityMatrix(tuple(rho.dims[i] for i in kept), _hermitian_part(_partial_trace(rho.dims, rho.matrix, kept)))
+    marginal = _partial_trace(rho.dims, rho.matrix[None], kept)[0]
+    return DensityMatrix(tuple(rho.dims[i] for i in kept), _hermitian_part(marginal))
 
 
 def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:
@@ -257,12 +257,12 @@ def partial_transpose(rho: DensityMatrix, party: int) -> HermitianOperator:
     party = operator.index(party)
     if party < 0 or party >= n:
         raise ValueError(f"party index {party} out of range for {n} parties")
-    return HermitianOperator(rho.dims, _partial_transpose(rho.dims, rho.matrix, party))
+    return HermitianOperator(rho.dims, _partial_transpose(rho.dims, rho.matrix[None], party)[0])
 
 
 def purity(rho: DensityMatrix) -> float:
     """Tr(rho^2); equals 1 exactly for pure states."""
-    return float(_purity(rho.matrix))
+    return float(_purity(rho.matrix[None])[0])
 
 
 def _pure(purity):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import BlochDecomposition, decompose_stack
+from .bloch import BlochDecomposition, _shapes, decompose_stack
 from .density import DensityMatrix, _dims, _partial_trace, _partial_transpose, _pure, _purity
 
 TRIPLE_WEIGHTS = {2: 0.25, 3: 27.0 / 160.0}
@@ -56,7 +56,7 @@ def e_c_bipartite(c: np.ndarray, dims: tuple[int, int]) -> float:
     dims = _dims(dims)
     if len(dims) != 2:
         raise ValueError(f"e_c_bipartite needs two parties, got dims {dims}")
-    return _one("ec", Context(dims, tensors=((), _pair_decomposition(dims, c).correlations)))
+    return _one("ec", _pair_decomposition(dims, c))
 
 
 def e_c_multipartite(decomp: BlochDecomposition) -> float:
@@ -68,42 +68,36 @@ def e_c_multipartite(decomp: BlochDecomposition) -> float:
     """
     if len(decomp.dims) < 3:
         raise ValueError(f"multipartite measure needs >= 3 parties, got dims {decomp.dims}")
-    return _one("ec", Context(decomp.dims, tensors=((), decomp.correlations)))
+    return _one("ec", decomp)
 
 
 def e_d(decomp: BlochDecomposition) -> float:
     """Tripartite correlation measure K * sum D_ijk^2 (qubits or qutrits)."""
-    return _one("ed", Context(decomp.dims, tensors=((), decomp.correlations)))
+    return _one("ed", decomp)
 
 
 def e_e(decomp: BlochDecomposition) -> float:
     """Four-party correlation measure (1/8) * sum E_ijkl^2 for four qubits;
     a missing four-party tensor counts as zero."""
-    return _one("ee", Context(decomp.dims, tensors=((), decomp.correlations)))
+    return _one("ee", decomp)
 
 
 def concurrence_pure(rho: DensityMatrix) -> float:
     """sqrt(2 (1 - Tr rho_A^2)) for a pure bipartite state."""
-    return _one("concurrence", Context(rho.dims, rho.matrix))
+    return _one("concurrence", rho)
 
 
 def entanglement_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy (bits) of the reduced state of a pure bipartite
     state, with 0 log 0 = 0."""
-    return _one("entropy", Context(rho.dims, rho.matrix))
+    return _one("entropy", rho)
 
 
 class Context:
     """A (B, d, d) stack as the rows read it: ``dims``, ``mats`` and
     ``ctx(f)``, the value f(ctx) of a shared quantity such as
     :func:`_tensors`, computed on its first read and kept with the context,
-    so a quantity may read another.  ``tensors`` is the value of
-    :func:`_tensors` where no mats are given.  Only the rows that read the
-    matrices (concurrence, entropy, ph, purity, pt_min) also take one (d, d)
-    state; the rows that decompose (ec, ed, ee, nsv, xi, nanb) raise
-    ValueError on it, as :func:`_tensors` needs the batch axis.  So the
-    scalar entry points pass one state only to concurrence, entropy and
-    pt_min, and pass a decomposition's parts as ``tensors``."""
+    so a quantity may read another; ``tensors`` presets :func:`_tensors`."""
 
     def __init__(self, dims: tuple[int, ...], mats: np.ndarray | None = None, tensors=None):
         self.dims, self.mats, self._memo = dims, mats, {} if tensors is None else {_tensors: tensors}
@@ -117,12 +111,20 @@ def _tensors(ctx: Context):
     return decompose_stack(ctx.dims, ctx.mats)
 
 
+def _stack_of_one(state: DensityMatrix | BlochDecomposition) -> Context:
+    """The context of one state as a stack of one: a DensityMatrix's matrix,
+    or a decomposition's vectors and tensors, a missing tensor read as zeros."""
+    if isinstance(state, DensityMatrix):
+        return Context(state.dims, state.matrix[None])
+    sectors = {s: np.broadcast_to(state.correlations.get(s, 0.0), shape)[None]
+               for s, shape in _shapes(state.dims).items() if len(s) > 1}
+    return Context(state.dims, tensors=(tuple(v[None] for v in state.coherence_vectors), sectors))
+
+
 def _sector_norm(parties: int, weight):
-    """weight(dims) times the summed squares of the correlation tensors on
-    ``parties`` parties: the pairwise sum for ec, D for ed, E for ee.  Each
-    tensor is summed over its last ``parties`` axes, so a context may hold
-    one state's tensors or (B, ...) stacks."""
-    return lambda ctx: weight(ctx.dims) * sum(np.square(c).sum(axis=tuple(range(-parties, 0)))
+    """weight(dims) times the summed squares of the (B, ...) correlation
+    tensors on ``parties`` parties: the pairwise sum for ec, D for ed, E for ee."""
+    return lambda ctx: weight(ctx.dims) * sum(np.square(c).sum(axis=tuple(range(1, parties + 1)))
                                               for s, c in ctx(_tensors)[1].items() if len(s) == parties)
 
 
@@ -145,9 +147,9 @@ def evaluate(ctx: Context, names) -> dict:
     return {name: column(ctx) for name, column in columns.items()}
 
 
-def _one(name: str, ctx: Context) -> float:
-    """The ``name`` row of COLUMNS on the context of one state."""
-    return float(require_column(name, ctx.dims)(ctx))
+def _one(name: str, state: DensityMatrix | BlochDecomposition) -> float:
+    """The ``name`` row of COLUMNS on one state, as a stack of one."""
+    return float(require_column(name, state.dims)(_stack_of_one(state))[0])
 
 
 def _marginals(ctx: Context):
@@ -165,7 +167,8 @@ def _pure_marginals(what: str, ctx: Context) -> np.ndarray:
 
 
 def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
-    # the complex eigensolver for real marginals too, so both give the same bits
+    """Entropy in bits of each matrix of a (B, d, d) stack, by the complex
+    eigensolver also for a real stack, so both give the same bits."""
     mu = np.linalg.eigvalsh(marginals.astype(complex, copy=False))
     terms = np.where(mu > 1e-15, -mu * np.log2(np.where(mu > 1e-15, mu, 1.0)), 0.0)
     return terms.sum(axis=-1) + 0.0        # +0.0, not -0.0, for a product
@@ -173,10 +176,10 @@ def _entropy_bits(marginals: np.ndarray) -> np.ndarray:
 
 def _spectrum(c: np.ndarray):
     """Singular values, NSV threshold max(1e-12, 1e-9 * largest singular
-    value) and NSV count of one correlation matrix or of a (B, ...) stack."""
+    value) and NSV count of each matrix of a (B, n, m) stack."""
     sv = np.linalg.svd(c, compute_uv=False)
-    threshold = np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv.max(axis=-1, initial=0.0))
-    return sv, threshold, (sv > threshold[..., None]).sum(axis=-1)
+    threshold = np.maximum(NSV_ABS_FLOOR, NSV_REL_FACTOR * sv.max(axis=1, initial=0.0))
+    return sv, threshold, (sv > threshold[:, None]).sum(axis=1)
 
 
 def _pt_min(ctx: Context) -> np.ndarray:
@@ -187,12 +190,12 @@ def _pt_min(ctx: Context) -> np.ndarray:
 
 
 def _invariants(ctx: Context):
-    """xi, n_A . n_B and n_A . C . n_B of the two-qubit states of a context,
-    from its vectors and C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums
-    run in a fixed order, so a state gives the same bits alone as in a stack."""
+    """xi, n_A . n_B and n_A . C . n_B from a context's (B, 3) vectors and
+    (B, 3, 3) C; xi is NaN where |n_A . n_B| <= 1e-12.  The sums run in a
+    fixed order, so a state gives the same bits alone as in a stack."""
     (na, nb), sectors = ctx(_tensors)
     na_nb = (na * nb).sum(axis=-1)
-    na_c_nb = ((na[..., :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
+    na_c_nb = ((na[:, :, None] * sectors[(0, 1)]).sum(axis=-2) * nb).sum(axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         xi = np.trace(sectors[(0, 1)], axis1=-2, axis2=-1) - na_c_nb / na_nb
     return np.where(np.abs(na_nb) <= BLOCH_DEGENERACY_TOL, np.nan, xi), na_nb, na_c_nb
@@ -201,7 +204,7 @@ def _invariants(ctx: Context):
 # Every quantity as a column: name -> (what it needs, test on dims, column
 # function, law).  A column function maps the Context of a stack of B states
 # to B values; evaluate applies rows to a stack, and the scalar functions
-# apply a row to one state through _one or require_column, so each column is
+# apply a row to one state as a stack of one (_stack_of_one), so each column is
 # the only code for its quantity and its test the only statement of where it
 # is defined.  The sector norms ec, ed and ee, the NSV count and the two-qubit
 # invariants (xi being NaN where n_A . n_B degenerates) read the context's
@@ -246,10 +249,9 @@ _FIELDS = {"ec": "e_c", "ed": "e_d", "ee": "e_e", "concurrence": "concurrence", 
 def measure_set(rho: DensityMatrix) -> MeasureSet:
     """The measures of every row of _FIELDS whose rule holds for the state's
     party structure; concurrence and entropy only when the state is pure."""
-    ctx = Context(rho.dims, rho.matrix[None])
+    ctx = _stack_of_one(rho)
     names = [name for name in _FIELDS if COLUMNS[name][1](rho.dims)
              and (name not in _PURE_ONLY or ctx(_marginals)[1] is not None)]
     if not names:
         raise ValueError(f"no measures defined for party structure {rho.dims}")
-    values = evaluate(ctx, names)
-    return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in values.items()})
+    return MeasureSet(**{_FIELDS[name]: float(column[0]) for name, column in evaluate(ctx, names).items()})

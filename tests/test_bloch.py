@@ -445,6 +445,22 @@ def test_moment_map_matches_oracle(dims, rng):
             assert np.abs(dec.correlations[s] - want).max() < 1e-12
 
 
+@pytest.mark.parametrize("dims", ORACLE_SHAPES, ids=str)
+def test_oracle_kron_is_numpy_kron(dims, rng):
+    # the oracle's Kronecker product gives np.kron's bits: on the generator
+    # products the oracle forms for these shapes, and on random complex and
+    # real factors with signed zeros
+    bases = [oracle_basis(m) for m in dims]
+    factors = [[basis[rng.integers(len(basis))] for basis in bases] for _ in range(10)]
+    for _ in range(5):
+        mats = [rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if rng.integers(2) else 0) for m in dims]
+        factors.append([np.where(rng.random(mat.shape) < 0.3, -0.0, mat) for mat in mats])
+    for mats in factors:
+        want = reduce(np.kron, mats)
+        got = kron_all(mats)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3)])
 def test_operator_form_identity(dims, rng):
     # Tr[(rho_AB - rho_A x rho_B)^2] = (1/4) Tr(C C^T); the factor 1/4 comes

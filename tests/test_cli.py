@@ -44,12 +44,6 @@ def write_json(path, obj):
     return str(path)
 
 
-def nan_matrix_file(tmp_path):
-    mat = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
-    mat[0][0][0] = float("nan")
-    return write_json(tmp_path / "nan.json", {"dims": [2, 2], "matrix": mat})
-
-
 def hermiticity_file(tmp_path, residual):
     """(1 + i (2 residual) X x 1) / 4 as a matrix state file: max |M - M^dag| is residual."""
     mat = [[[0.25 if i == j else 0.0, residual / 2 if i ^ j == 2 else 0.0] for j in range(4)] for i in range(4)]
@@ -154,25 +148,11 @@ class TestMeasure:
         assert code == 0
         assert json.loads(out)["e_d"] == pytest.approx(1.0, abs=1e-10)
 
-    def test_nan_matrix_exit_1(self, tmp_path, capsys):
-        code, out, err = run_cli(["measure", "--input", nan_matrix_file(tmp_path)], capsys)
-        assert code == 1
-        assert "NaN" not in out and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
     def test_product_entropy_is_positive_zero(self, tmp_path, capsys):
         path = write_json(tmp_path / "00.json", {"dims": [2, 2], "pure": [[1, 0], [0, 0], [0, 0], [0, 0]]})
         code, out, _ = run_cli(["measure", "--input", path], capsys)
         assert code == 0
         assert '"entropy_bits": 0.0' in out and "-0.0" not in out
-
-    @pytest.mark.parametrize("dims", ["22", [2.5, 2], [2.0, 2]])
-    def test_non_integer_dims_exit_1(self, dims, tmp_path, capsys):
-        path = write_json(tmp_path / "dims.json", {"dims": dims, "pure": [[1, 0], [0, 0], [0, 0], [0, 0]]})
-        code, out, err = run_cli(["measure", "--input", path], capsys)
-        assert code == 1
-        assert one_error_line(out, err)
-        assert "dims" in err
 
     @pytest.mark.parametrize("spec", [{"family": "rashid", "params": {"theta": 0.3}},
                                       {"family": "generalized-werner", "params": {"p": 0.8, "theta": 0.3}},
@@ -204,13 +184,6 @@ class TestClassify:
         code, out, _ = run_cli(["classify", "--input", path], capsys)
         assert code == 0
         assert json.loads(out)["category"] == "PureProduct"
-
-    def test_nan_matrix_exit_1(self, tmp_path, capsys):
-        # used to die in the SVD with LinAlgError
-        code, out, err = run_cli(["classify", "--input", nan_matrix_file(tmp_path)], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestFamily:

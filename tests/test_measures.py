@@ -5,7 +5,7 @@ import pytest
 
 from helpers import random_density_mat, random_pure_vec
 
-from mpcorr.bloch import decompose
+from mpcorr.bloch import BlochDecomposition, decompose
 from mpcorr.density import DensityMatrix, from_pure, tensor
 from mpcorr.families import bell, generalized_werner, ghz, rashid, tripartite_qutrit_e3
 from mpcorr.measures import (COLUMNS, Context, MeasureSet, MixedStateError, concurrence_pure, e_c_bipartite,
@@ -17,6 +17,12 @@ PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
 
 def rand_state(dims, rng):
     return DensityMatrix(dims, random_density_mat(int(np.prod(dims)), rng))
+
+
+def without(dec, sector):
+    """The decomposition with the tensor of ``sector`` left out."""
+    return BlochDecomposition(dec.dims, dec.coherence_vectors,
+                              {s: c for s, c in dec.correlations.items() if s != sector})
 
 
 def binary_entropy(p):
@@ -138,6 +144,9 @@ class TestEE:
     def test_wrong_shape(self, rng):
         with pytest.raises(ValueError, match="four"):
             e_e(decompose(rand_state((2, 2, 2), rng)))
+
+    def test_missing_four_party_tensor_is_zero(self, rng):
+        assert e_e(without(decompose(rand_state((2, 2, 2, 2), rng)), (0, 1, 2, 3))).hex() == (0.0).hex()
 
 
 class TestConcurrence:
@@ -268,6 +277,26 @@ class TestMeasureSet:
         }
         ms = measure_set(rho)
         assert {key: getattr(ms, key) for key in want} == want
+
+
+@pytest.mark.parametrize("measure, dims", [(e_d, (2, 2, 2)), (e_d, (3, 3, 3)), (e_c_multipartite, (2, 2, 2)),
+                                           (e_c_multipartite, (3, 3, 3)), (e_c_multipartite, (2, 2, 2, 2))])
+def test_missing_sector_reads_as_zeros(measure, dims, rng):
+    # a sector left out gives, bit for bit, the value of that sector given as zeros
+    dec = decompose(rand_state(dims, rng))
+    for sector in dec.correlations:
+        zeros = {s: np.zeros_like(c) if s == sector else c for s, c in dec.correlations.items()}
+        given = measure(BlochDecomposition(dims, dec.coherence_vectors, zeros))
+        assert measure(without(dec, sector)).hex() == given.hex(), sector
+
+
+@pytest.mark.parametrize("dims", [(3, 3, 3), (2, 2, 2, 2)], ids=str)
+def test_sector_order_of_a_decomposition_leaves_every_bit(dims, rng):
+    # the sectors are summed in one order whatever order the mapping lists them in
+    for _ in range(10):
+        dec = decompose(rand_state(dims, rng))
+        reordered = BlochDecomposition(dims, dec.coherence_vectors, dict(reversed(dec.correlations.items())))
+        assert e_c_multipartite(reordered).hex() == e_c_multipartite(dec).hex()
 
 
 def test_tripartite_qutrit_family_reaches_unit_e_d():
